@@ -3,28 +3,11 @@
 #include <utility>
 
 #include "common/parallel.h"
-#include "core/baseline.h"
-#include "core/jaa.h"
-#include "core/naive.h"
-#include "core/rsa.h"
 #include "core/topk.h"
 #include "data/io.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace utk {
-namespace {
-
-QueryResult Fail(const QuerySpec& spec, std::string why) {
-  QueryResult r;
-  r.ok = false;
-  r.error = std::move(why);
-  r.mode = spec.mode;
-  r.algorithm = spec.algorithm;
-  return r;
-}
-
-}  // namespace
 
 Engine::Engine(Dataset data)
     : data_(std::move(data)),
@@ -38,121 +21,35 @@ std::optional<Engine> Engine::FromCsvFile(const std::string& path) {
   return Engine(std::move(*data));
 }
 
+Snapshot Engine::snapshot() const {
+  Snapshot snap;
+  snap.data = &data_;
+  snap.tree = &tree_;
+  snap.cols = &cols_;
+  snap.live = size();
+  snap.dim = dim();
+  snap.model = model_.get();
+  return snap;
+}
+
 Algorithm Engine::Plan(const QuerySpec& spec) const {
   return Decide(spec).algorithm;
 }
 
 PlanDecision Engine::Decide(const QuerySpec& spec) const {
-  return DecidePlan(model_.get(), spec, size(), pref_dim());
+  return utk::Decide(snapshot(), spec);
 }
 
 PlanNode Engine::Explain(const QuerySpec& spec) const {
-  PlanNode root;
-  root.op = "engine.run";
-  if (std::optional<std::string> error = Validate(spec)) {
-    root.detail = "invalid: " + *error;
-    return root;
-  }
-  const PlanDecision d = Decide(spec);
-  root.detail = PlanDetail(d, spec.k, size());
-  root.est_ms = d.est_ms;
-  root.children =
-      AlgorithmPlanChildren(d.algorithm, spec.mode, size(), spec.k, pref_dim());
-  return root;
+  return utk::Explain(snapshot(), spec);
 }
 
 std::optional<std::string> Engine::Validate(const QuerySpec& spec) const {
-  if (data_.empty()) return "engine holds an empty dataset";
-  if (spec.k < 1) return "k must be >= 1";
-  if (spec.region.dim() != pref_dim())
-    return "region has " + std::to_string(spec.region.dim()) +
-           " preference dims, dataset needs " + std::to_string(pref_dim());
-  if (!spec.region.HasInteriorPoint())
-    return "query region has empty interior";
-  const Algorithm algo = Plan(spec);
-  if (spec.mode == QueryMode::kUtk2 &&
-      (algo == Algorithm::kRsa || algo == Algorithm::kNaive))
-    return std::string(AlgorithmName(algo)) +
-           " answers UTK1 only; use JAA or a baseline for UTK2";
-  return std::nullopt;
+  return utk::Validate(snapshot(), spec);
 }
 
 QueryResult Engine::Run(const QuerySpec& spec) const {
-  UTK_SPAN("engine.run");
-  obs::QueryLogScope slow_log("engine.run");
-  QueryHistoryScope history;
-  if (std::optional<std::string> error = Validate(spec))
-    return Fail(spec, std::move(*error));
-
-  const PlanDecision decision = Decide(spec);
-  const Algorithm algo = decision.algorithm;
-  QueryResult r;
-  r.mode = spec.mode;
-  r.algorithm = algo;
-  switch (algo) {
-    case Algorithm::kAuto:  // unreachable: Plan() resolved it
-      return Fail(spec, "planner returned kAuto");
-    case Algorithm::kRsa: {
-      Rsa::Options opt;
-      opt.use_drill = spec.use_drill;
-      opt.use_lemma1 = spec.use_lemma1;
-      opt.wave_cap = spec.wave_cap;
-      opt.refine_threads = spec.refine_threads;
-      Utk1Result res = Rsa(opt).Run(data_, tree_, spec.region, spec.k, &cols_);
-      r.ids = std::move(res.ids);
-      r.stats = res.stats;
-      break;
-    }
-    case Algorithm::kJaa: {
-      Jaa::Options opt;
-      opt.use_lemma1 = spec.use_lemma1;
-      opt.wave_cap = spec.wave_cap;
-      opt.refine_threads = spec.refine_threads;
-      r.utk2 = Jaa(opt).Run(data_, tree_, spec.region, spec.k, &cols_);
-      r.ids = r.utk2.AllRecords();
-      r.stats = r.utk2.stats;
-      break;
-    }
-    case Algorithm::kBaselineSk:
-    case Algorithm::kBaselineOn: {
-      Baseline b(algo == Algorithm::kBaselineSk ? BaselineFilter::kSkyband
-                                                : BaselineFilter::kOnion);
-      if (spec.mode == QueryMode::kUtk1) {
-        Utk1Result res = b.RunUtk1(data_, tree_, spec.region, spec.k, &cols_);
-        r.ids = std::move(res.ids);
-        r.stats = res.stats;
-      } else {
-        r.per_record = b.RunUtk2(data_, tree_, spec.region, spec.k, &cols_);
-        r.ids = r.per_record.AllRecords();
-        r.stats = r.per_record.stats;
-      }
-      break;
-    }
-    case Algorithm::kNaive: {
-      Timer timer;
-      r.ids = NaiveUtk1(data_, spec.region, spec.k);
-      r.stats.candidates = size();
-      r.stats.elapsed_ms = timer.ElapsedMs();
-      break;
-    }
-  }
-  r.ok = true;
-  r.stats.planned_algorithm = static_cast<int64_t>(algo);
-  r.stats.plan_reason = static_cast<int64_t>(decision.reason);
-
-  // The mispredict rate over a workload is the planner's live quality
-  // signal (gated in tools/check_bench.py).
-  NotePlanOutcome(decision, r.stats.elapsed_ms);
-
-  static obs::Counter& queries =
-      obs::MetricRegistry::Global().GetCounter("utk_engine_queries_total");
-  static obs::Histogram& latency = obs::MetricRegistry::Global().GetHistogram(
-      "utk_engine_query_latency_us");
-  queries.Add();
-  latency.Observe(static_cast<int64_t>(r.stats.elapsed_ms * 1000.0));
-  slow_log.Finish(r.stats, [&spec] { return SpecFingerprint(spec); });
-  history.Record(spec, r, size(), pref_dim());
-  return r;
+  return Execute(snapshot(), spec);
 }
 
 BatchQueryResult Engine::RunBatch(std::span<const QuerySpec> specs,

@@ -1,9 +1,10 @@
 // utk::Engine — the single entry point for answering UTK queries.
 //
 // An Engine owns a Dataset and its R-tree (built once, Section 3.1), accepts
-// declarative QuerySpecs, and dispatches to the right algorithm — RSA, JAA,
-// the SK/ON baselines, or the naive oracle — picking one itself under
-// Algorithm::kAuto. Independent queries run concurrently via RunBatch with
+// declarative QuerySpecs, and answers them through the shared execution
+// core (api/execute.h) — RSA, JAA, the SK/ON baselines, or the naive oracle,
+// picked by the planner under Algorithm::kAuto. Independent queries run
+// concurrently via RunBatch with
 // deterministic, input-ordered results. All examples, benchmarks, and
 // integration tests go through this facade; only unit tests construct the
 // algorithm classes directly.
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/execute.h"
 #include "api/planner.h"
 #include "api/query.h"
 #include "api/query_engine.h"
@@ -70,6 +72,10 @@ class Engine final : public QueryEngine {
   /// components (the partitioned engine's single-shard alias, benchmarks,
   /// differential tests) can share rather than rebuild it.
   const ColumnStore& cols() const { return cols_; }
+
+  /// The read-only view every query entry point executes over
+  /// (api/execute.h): the whole dataset live, epoch 0.
+  Snapshot snapshot() const;
 
   /// The algorithm `spec` will execute with: resolves kAuto against this
   /// engine's dataset, leaves explicit choices untouched.

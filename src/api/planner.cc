@@ -411,45 +411,6 @@ PlanDecision DecidePlan(const CostModel* model, const QuerySpec& spec,
   return d;
 }
 
-std::vector<PlanNode> AlgorithmPlanChildren(Algorithm algo, QueryMode mode,
-                                            int64_t n, int k, int pref_dim) {
-  const int64_t band = EstimateBandSize(n, k, pref_dim);
-  auto node = [](const char* op, int64_t est_rows) {
-    PlanNode p;
-    p.op = op;
-    p.est_rows = est_rows;
-    return p;
-  };
-  std::vector<PlanNode> kids;
-  switch (algo) {
-    case Algorithm::kAuto:
-      break;  // unresolved plans have no operator structure
-    case Algorithm::kRsa:
-      kids.push_back(node("filter.rskyband", band));
-      kids.push_back(node("rsa.refine", band));
-      break;
-    case Algorithm::kJaa:
-      kids.push_back(node("filter.rskyband", band));
-      kids.push_back(node("jaa.refine", band));
-      break;
-    case Algorithm::kBaselineSk:
-    case Algorithm::kBaselineOn: {
-      kids.push_back(node(algo == Algorithm::kBaselineSk ? "filter.skyband"
-                                                         : "filter.onion",
-                          band));
-      PlanNode refine = node("baseline.refine", band);
-      refine.children.push_back(node("kspr.decide", band));
-      refine.detail = mode == QueryMode::kUtk2 ? "per-record cells" : "";
-      kids.push_back(std::move(refine));
-      break;
-    }
-    case Algorithm::kNaive:
-      kids.push_back(node("naive.enumerate", n));
-      break;
-  }
-  return kids;
-}
-
 void NotePlanOutcome(const PlanDecision& decision, double actual_ms) {
   if (decision.reason != PlanReason::kCostModel) return;
   static obs::Counter& model_decisions =
@@ -462,16 +423,6 @@ void NotePlanOutcome(const PlanDecision& decision, double actual_ms) {
             "utk_planner_mispredict_total");
     mispredicts.Add();
   }
-}
-
-std::string PlanDetail(const PlanDecision& d, int k, int64_t n) {
-  std::string out = "algo=";
-  out += AlgorithmName(d.algorithm);
-  out += " reason=";
-  out += PlanReasonName(d.reason);
-  out += " k=" + std::to_string(k);
-  out += " n=" + std::to_string(n);
-  return out;
 }
 
 namespace {

@@ -133,24 +133,12 @@ class CostModel {
 PlanDecision DecidePlan(const CostModel* model, const QuerySpec& spec,
                         int64_t n, int pref_dim, int max_tiles = 1);
 
-/// The algorithm-core subtree every engine's EXPLAIN shares: the filter
-/// operator feeding the refine operator for `algo`, in span vocabulary
-/// (filter.rskyband -> rsa.refine, filter.onion -> baseline.refine, ...),
-/// with cardinality estimates from the k-skyband expectation. Engines hang
-/// these under their own root (engine.run, dist.tile_refine, ...).
-std::vector<PlanNode> AlgorithmPlanChildren(Algorithm algo, QueryMode mode,
-                                            int64_t n, int k, int pref_dim);
-
-/// The one-line `detail` every EXPLAIN root carries for decision `d`:
-/// "algo=RSA reason=cost-model k=10 n=100000" (est fields ride in the
-/// node's numeric columns, not here).
-std::string PlanDetail(const PlanDecision& d, int k, int64_t n);
-
-/// Post-hoc model check, called by every engine once a planned query has
-/// run: bumps utk_planner_model_decisions_total for each cost-model
-/// decision and utk_planner_mispredict_total when the chosen plan ran
-/// slower than the model's estimate for the runner-up (the model ranked
-/// the two wrong for this query). No-op for heuristic/explicit decisions.
+/// Post-hoc model check, called by the execution core (api/execute.h) once
+/// a planned query has run: bumps utk_planner_model_decisions_total for
+/// each cost-model decision and utk_planner_mispredict_total when the
+/// chosen plan ran slower than the model's estimate for the runner-up (the
+/// model ranked the two wrong for this query). No-op for heuristic/explicit
+/// decisions.
 void NotePlanOutcome(const PlanDecision& decision, double actual_ms);
 
 /// Process-default model, loaded lazily from $UTK_PLANNER_MODEL on first
@@ -164,10 +152,10 @@ std::shared_ptr<const CostModel> DefaultCostModel();
 // QuerySpec/QueryResult to a HistoryRecord lives here).
 // ---------------------------------------------------------------------------
 
-/// RAII marker for one top-level query. Engines that can be nested inside
-/// another engine's Run (the compact-fallback paths, the serving layer's
-/// miss path) open one of these; only the outermost scope on the thread
-/// appends a history row, so one user query is one row.
+/// RAII marker for one top-level query. The execution core and the serving
+/// layer (whose miss path nests an engine's Run) open one of these; only
+/// the outermost scope on the thread appends a history row, so one user
+/// query is one row.
 class QueryHistoryScope {
  public:
   QueryHistoryScope();

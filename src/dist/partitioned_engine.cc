@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/parallel.h"
-#include "core/jaa.h"
-#include "core/rsa.h"
 #include "dist/tiler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -197,33 +195,30 @@ int PartitionedEngine::EffectiveTiles(const QuerySpec& spec) const {
   return d.tiles;
 }
 
+Snapshot PartitionedEngine::snapshot() const {
+  Snapshot snap = base_->snapshot();
+  snap.op = "dist.run";
+  return snap;
+}
+
 QueryResult PartitionedEngine::Run(const QuerySpec& spec,
                                    const PartialResultSink* sink,
                                    DistDetail* detail) const {
-  // Invalid specs and algorithms outside the r-skyband pipeline (naive
-  // oracle, SK/ON baselines) run on the embedded single engine unchanged —
-  // same diagnostics, same answers. The history scope opens before the
-  // fallback so the nested Engine::Run never double-records the query.
-  QueryHistoryScope history;
-  if (base_->Validate(spec).has_value()) {
-    QueryResult r = base_->Run(spec);
-    history.Record(spec, r, size(), pref_dim());
-    return r;
-  }
-  const PlanDecision decision = base_->Decide(spec);
-  const Algorithm algo = decision.algorithm;
-  if (algo != Algorithm::kRsa && algo != Algorithm::kJaa) {
-    QueryResult r = base_->Run(spec);
-    history.Record(spec, r, size(), pref_dim());
-    return r;
-  }
+  // The shared envelope validates, plans and reports; specs outside the
+  // r-skyband pipeline (naive oracle, SK/ON baselines) run on the embedded
+  // engine's snapshot unchanged, RSA/JAA through the decomposition.
+  return Execute(snapshot(), spec, [&](const QuerySpec& s, Algorithm algo) {
+    return RunDecomposed(s, algo, sink, detail);
+  });
+}
 
-  UTK_SPAN("dist.run");
-  obs::QueryLogScope slow_log("dist.run");
+QueryResult PartitionedEngine::RunDecomposed(const QuerySpec& spec,
+                                             Algorithm algo,
+                                             const PartialResultSink* sink,
+                                             DistDetail* detail) const {
   static obs::Counter& queries =
       obs::MetricRegistry::Global().GetCounter("utk_dist_queries_total");
   queries.Add();
-  Timer timer;
   const std::vector<ConvexRegion> tiles =
       TileRegion(spec.region, EffectiveTiles(spec));
   const int T = static_cast<int>(tiles.size());
@@ -251,38 +246,13 @@ QueryResult PartitionedEngine::Run(const QuerySpec& spec,
         ComputeRSkybandFromPool(base_->data(), std::move(pool), tiles[t],
                                 spec.k, &tile_stats[t], &base_->cols());
     band_sizes[t] = static_cast<int64_t>(band.ids.size());
-
-    QueryResult r;
-    r.mode = spec.mode;
-    r.algorithm = algo;
-    if (algo == Algorithm::kRsa) {
-      Rsa::Options opt;
-      opt.use_drill = spec.use_drill;
-      opt.use_lemma1 = spec.use_lemma1;
-      opt.wave_cap = spec.wave_cap;
-      opt.refine_threads = spec.refine_threads;
-      Utk1Result res = Rsa(opt).RunFiltered(base_->data(), band, tiles[t],
-                                            spec.k);
-      r.ids = std::move(res.ids);
-      r.stats = res.stats;
-    } else {
-      Jaa::Options opt;
-      opt.use_lemma1 = spec.use_lemma1;
-      opt.wave_cap = spec.wave_cap;
-      opt.refine_threads = spec.refine_threads;
-      r.utk2 = Jaa(opt).RunFiltered(base_->data(), band, tiles[t], spec.k);
-      r.ids = r.utk2.AllRecords();
-      r.stats = r.utk2.stats;
-    }
-    r.ok = true;
+    QuerySpec sub = spec;
+    sub.region = tiles[t];
+    QueryResult r = RefineBand(base_->data(), band, sub, algo);
     // Each tile answer IS Engine::Run's answer for the sub-region, so the
     // serving layer can admit it as a containment donor. Only report when
     // the region actually decomposed (a single tile equals the full run).
-    if (sink != nullptr && *sink != nullptr && T > 1) {
-      QuerySpec sub = spec;
-      sub.region = tiles[t];
-      (*sink)(sub, r);
-    }
+    if (sink != nullptr && *sink != nullptr && T > 1) (*sink)(sub, r);
     tile_results[t] = std::move(r);
   });
 
@@ -290,9 +260,6 @@ QueryResult PartitionedEngine::Run(const QuerySpec& spec,
   // lists (tiles partition R, so cells never overlap across tiles),
   // re-canonicalized so the tile seam order never leaks to callers.
   QueryResult out;
-  out.ok = true;
-  out.mode = spec.mode;
-  out.algorithm = algo;
   for (QueryResult& r : tile_results) {
     out.ids.insert(out.ids.end(), r.ids.begin(), r.ids.end());
     out.utk2.cells.insert(out.utk2.cells.end(),
@@ -304,22 +271,14 @@ QueryResult PartitionedEngine::Run(const QuerySpec& spec,
   out.utk2.Canonicalize();
 
   // Counters sum across every shard and tile; `candidates` reports the
-  // refinement input (the pooled bands), matching Engine::Run's semantics,
-  // and elapsed_ms is the whole query's wall clock.
+  // refinement input (the pooled bands), matching Engine::Run's semantics.
   std::vector<QueryStats> parts = std::move(filter_stats);
   parts.insert(parts.end(), tile_stats.begin(), tile_stats.end());
   for (const QueryResult& r : tile_results) parts.push_back(r.stats);
   out.stats = QueryStats::Merge(parts);
   out.stats.candidates = 0;
   for (int64_t b : band_sizes) out.stats.candidates += b;
-  out.stats.elapsed_ms = timer.ElapsedMs();
-  out.stats.planned_algorithm = static_cast<int64_t>(algo);
-  out.stats.plan_reason = static_cast<int64_t>(decision.reason);
   out.utk2.stats = out.stats;
-
-  // Same post-hoc model check as Engine::Run — the decomposed path never
-  // reaches it, so the mispredict rate must be counted here too.
-  NotePlanOutcome(decision, out.stats.elapsed_ms);
 
   if (detail != nullptr) {
     detail->tiles = tiles;
@@ -329,32 +288,24 @@ QueryResult PartitionedEngine::Run(const QuerySpec& spec,
       detail->filter.push_back(MakeReport(S, t, shard_ids[t], filter_ms,
                                           seed_ms[t], pool_sizes[t]));
   }
-  static obs::Histogram& latency = obs::MetricRegistry::Global().GetHistogram(
-      "utk_dist_query_latency_us");
-  latency.Observe(static_cast<int64_t>(out.stats.elapsed_ms * 1000.0));
-  slow_log.Finish(out.stats, [&spec] { return SpecFingerprint(spec); });
-  history.Record(spec, out, size(), pref_dim());
   return out;
 }
 
 PlanNode PartitionedEngine::Explain(const QuerySpec& spec) const {
-  // Fallback paths execute entirely on the embedded engine, so its tree is
-  // the honest EXPLAIN for them.
-  if (base_->Validate(spec).has_value()) return base_->Explain(spec);
-  const PlanDecision d = base_->Decide(spec);
-  if (d.algorithm != Algorithm::kRsa && d.algorithm != Algorithm::kJaa)
-    return base_->Explain(spec);
+  // Invalid specs and fallback algorithms get the shared tree: they run on
+  // the embedded engine's snapshot exactly as Engine::Run would.
+  PlanDecision d;
+  PlanNode root = utk::Explain(snapshot(), spec, &d);
+  if (d.reason == PlanReason::kNone || !UsesBand(d.algorithm)) return root;
 
   const int S = num_shards();
   const int T =
       static_cast<int>(TileRegion(spec.region, EffectiveTiles(spec)).size());
   const int64_t band = EstimateBandSize(base_->size(), spec.k, pref_dim());
 
-  PlanNode root;
-  root.op = "dist.run";
-  root.detail = PlanDetail(d, spec.k, size()) + " shards=" +
-                std::to_string(S) + " tiles=" + std::to_string(T);
-  root.est_ms = d.est_ms;
+  root.detail += " shards=" + std::to_string(S) +
+                 " tiles=" + std::to_string(T);
+  root.children.clear();
   if (S > 1) {
     PlanNode seed;
     seed.op = "dist.seed";

@@ -41,9 +41,11 @@
 //   partition R, so cells never overlap across tiles and the concatenation
 //   is again a partition of R carrying exact top-k sets.
 //
-// Sharding and tiling apply to the r-skyband pipeline (planned RSA or JAA);
-// specs the planner resolves to the naive oracle or the SK/ON baselines run
-// unchanged on the embedded single engine, as does TopK. Results equal
+// Sharding and tiling apply to the r-skyband pipeline (planned RSA or JAA):
+// the decomposition is the band runner the shared execution core
+// (api/execute.h) calls in place of its single filter. Validation, planning,
+// specs the planner resolves to the naive oracle or the SK/ON baselines, and
+// TopK run on the embedded single engine's snapshot unchanged. Results equal
 // Engine::Run's: UTK1 ids byte-identical, UTK2 the same partition of R
 // (cell geometry may differ along tile cuts). Thread-safety matches
 // Engine: immutable after construction, all query entry points const.
@@ -57,6 +59,7 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "api/execute.h"
 #include "api/query_engine.h"
 #include "dist/partition.h"
 #include "index/rtree.h"
@@ -121,9 +124,8 @@ class PartitionedEngine final : public QueryEngine {
   }
 
   /// EXPLAIN: dist.run over seed / shard-filter / per-tile refine for specs
-  /// the decomposed pipeline answers; delegates to the embedded engine's
-  /// tree for fallback algorithms and invalid specs (matching what Run
-  /// actually executes).
+  /// the decomposed pipeline answers; the shared filter/refine subtree for
+  /// fallback algorithms and an "invalid: ..." root for rejected specs.
   PlanNode Explain(const QuerySpec& spec) const override;
 
   /// The tile count Run will use for `spec`: config().tiles when >= 1,
@@ -165,6 +167,13 @@ class PartitionedEngine final : public QueryEngine {
     }
   };
 
+  /// The embedded engine's snapshot under the dist.run root.
+  Snapshot snapshot() const;
+  /// The band runner: sharded filter + per-tile refinement + merge for an
+  /// RSA/JAA spec (the envelope around it is Execute's).
+  QueryResult RunDecomposed(const QuerySpec& spec, Algorithm algo,
+                            const PartialResultSink* sink,
+                            DistDetail* detail) const;
   void BuildShards();
   /// Globally strong seed record ids for region `r`: the engine top-k at
   /// the pivot plus, for low-dimensional boxes, at every corner.

@@ -22,9 +22,9 @@
 // behind the k-skyband brute-force oracle (skyline/skyband.cc).
 //
 // Every kernel dispatches on exec/simd.h ActiveSimdTier(): the scalar
-// loops below are the reference; the AVX2/NEON twins (simd_avx2.cc,
-// simd_neon.cc) vectorize across rows with the identical per-row
-// expression tree and are bit-identical by construction. TopKScan
+// loops below are the reference; the AVX2 twins (simd_avx2.cc) vectorize
+// across rows with the identical per-row expression tree and are
+// bit-identical by construction. TopKScan
 // additionally consults the store's zonemaps (column_store.h) to skip
 // whole blocks that cannot beat the running top-k threshold.
 #ifndef UTK_EXEC_KERNELS_H_

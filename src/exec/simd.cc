@@ -21,17 +21,7 @@ bool EqualsIgnoreCase(const char* a, const char* b) {
 }
 
 SimdTier Clamp(SimdTier tier) {
-  switch (tier) {
-    case SimdTier::kScalar:
-      return SimdTier::kScalar;
-    case SimdTier::kAvx2:
-      return BestSupportedSimdTier() == SimdTier::kAvx2 ? SimdTier::kAvx2
-                                                        : SimdTier::kScalar;
-    case SimdTier::kNeon:
-      return BestSupportedSimdTier() == SimdTier::kNeon ? SimdTier::kNeon
-                                                        : SimdTier::kScalar;
-  }
-  return SimdTier::kScalar;
+  return tier == SimdTier::kAvx2 ? BestSupportedSimdTier() : SimdTier::kScalar;
 }
 
 SimdTier ResolveFromEnv() {
@@ -41,7 +31,6 @@ SimdTier ResolveFromEnv() {
       EqualsIgnoreCase(env, "scalar"))
     return SimdTier::kScalar;
   if (EqualsIgnoreCase(env, "avx2")) return Clamp(SimdTier::kAvx2);
-  if (EqualsIgnoreCase(env, "neon")) return Clamp(SimdTier::kNeon);
   // "1" / "on" / "auto" / anything unrecognized: best supported.
   return BestSupportedSimdTier();
 }
@@ -49,22 +38,12 @@ SimdTier ResolveFromEnv() {
 }  // namespace
 
 const char* SimdTierName(SimdTier tier) {
-  switch (tier) {
-    case SimdTier::kScalar:
-      return "scalar";
-    case SimdTier::kAvx2:
-      return "avx2";
-    case SimdTier::kNeon:
-      return "neon";
-  }
-  return "scalar";
+  return tier == SimdTier::kAvx2 ? "avx2" : "scalar";
 }
 
 SimdTier BestSupportedSimdTier() {
 #if UTK_SIMD_X86
   return __builtin_cpu_supports("avx2") ? SimdTier::kAvx2 : SimdTier::kScalar;
-#elif UTK_SIMD_ARM
-  return SimdTier::kNeon;  // NEON is baseline on aarch64
 #else
   return SimdTier::kScalar;
 #endif
@@ -83,16 +62,6 @@ void SetSimdTier(SimdTier tier) {
   g_tier.store(static_cast<int>(Clamp(tier)), std::memory_order_release);
 }
 
-int SimdWidth() {
-  switch (ActiveSimdTier()) {
-    case SimdTier::kAvx2:
-      return 4;
-    case SimdTier::kNeon:
-      return 2;
-    case SimdTier::kScalar:
-      break;
-  }
-  return 1;
-}
+int SimdWidth() { return ActiveSimdTier() == SimdTier::kAvx2 ? 4 : 1; }
 
 }  // namespace utk

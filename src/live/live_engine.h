@@ -14,14 +14,16 @@
 //     rebuilt from the tree (the counters' exactness bound — see
 //     live_band.h — is what makes everything in between sound).
 //
-// Queries answer over the live structures. RSA/JAA specs with k <= band_k
-// refine the maintained band through the exact machinery the partitioned
-// engine already trusts (ComputeRSkybandFromPool + RunFiltered), larger k
-// filters the live R-tree directly, and algorithms outside the r-skyband
-// pipeline (naive oracle, SK/ON baselines) run on a lazily rebuilt compact
-// engine with answers mapped back to live ids — every path returns exactly
-// what a from-scratch Engine over the current live records would (modulo
-// the id compaction, which the compact path maps through monotonically).
+// Queries answer over a Snapshot of the live structures, taken under the
+// reader lock and run through the shared execution core (api/execute.h).
+// RSA/JAA specs with k <= band_k refine the maintained band through the
+// exact machinery the partitioned engine already trusts
+// (ComputeRSkybandFromPool + RunFiltered), larger k filters the live R-tree
+// directly, and the SK/ON baselines walk the live R-tree, which indexes no
+// tombstone. The naive oracle runs on a per-query compacted copy of the
+// live rows with its ids mapped back. Every path returns exactly what a
+// from-scratch Engine over the current live records would (modulo the id
+// compaction, a monotonic map).
 //
 // Serving contract: every committed epoch emits an invalidation sweep to
 // each attached serve::ResultCache (ApplyInvalidation) with a conservative
@@ -49,9 +51,9 @@
 #include <string>
 #include <vector>
 
-#include "api/engine.h"
-#include "common/annotations.h"
+#include "api/execute.h"
 #include "api/query_engine.h"
+#include "common/annotations.h"
 #include "data/workload.h"
 #include "exec/column_store.h"
 #include "index/rtree.h"
@@ -69,31 +71,20 @@ struct LiveConfig {
   int band_slack = 16;
 };
 
-/// Read-only view of the complete catalog state, valid only for the duration
-/// of the call it is passed to (the references alias engine internals under
-/// the engine's lock). `data`/`alive` are id-addressed including tombstones;
-/// `tree` indexes exactly the alive records; `epoch` is the committed batch
-/// count the state corresponds to.
-struct CatalogView {
-  const Dataset& data;
-  const std::vector<char>& alive;
-  const RTree& tree;
-  uint64_t epoch = 0;
-};
-
 /// Durability hook: observes every committed update batch, synchronously,
 /// under the engine's exclusive lock. `ops` lists the batch's *applied*
 /// mutations in application order with their assigned ids (order matters:
 /// one batch may erase an id and then revive it), so replaying the stream
-/// through ApplyBatch on the view's predecessor state reproduces `view`
-/// exactly — this is the write-ahead-log contract src/storage/ builds on.
+/// through ApplyBatch on the view's predecessor state reproduces `view` (the
+/// committed state, its epoch the new one) exactly — this is the
+/// write-ahead-log contract src/storage/ builds on.
 /// OnCommit runs before the update call returns; it may read the view but
 /// must not call back into the engine (the exclusive lock is held).
 class UpdateLog {
  public:
   virtual ~UpdateLog() = default;
   virtual void OnCommit(std::span<const UpdateOp> ops,
-                        const CatalogView& view) = 0;
+                        const Snapshot& view) = 0;
 };
 
 /// Monotonic update-side counters (a consistent snapshot via counters()).
@@ -106,7 +97,7 @@ struct LiveCounters {
   int64_t band_rebuilds = 0; ///< counter-saturation (and initial) rebuilds
   int64_t pool_queries = 0;  ///< queries answered from the maintained band
   int64_t direct_queries = 0;   ///< k > band_k: filtered the live tree
-  int64_t fallback_queries = 0; ///< answered via the compact fallback engine
+  int64_t fallback_queries = 0; ///< answered outside the band pipeline
 };
 
 class LiveEngine final : public QueryEngine {
@@ -151,9 +142,8 @@ class LiveEngine final : public QueryEngine {
   Algorithm Plan(const QuerySpec& spec) const override;
   std::optional<std::string> Validate(const QuerySpec& spec) const override;
   QueryResult Run(const QuerySpec& spec) const override;
-  /// EXPLAIN: live.run over the band pipeline's filter/refine subtree for
-  /// RSA/JAA plans; for baseline/naive plans the compact-fallback engine.run
-  /// subtree the query would actually execute.
+  /// EXPLAIN: live.run over the planned algorithm's filter/refine subtree;
+  /// RSA/JAA plans also name the filter path (band-pool or direct).
   PlanNode Explain(const QuerySpec& spec) const override;
   std::vector<int32_t> TopK(const Vec& w, int k) const override;
   uint64_t epoch() const override {
@@ -205,7 +195,7 @@ class LiveEngine final : public QueryEngine {
   /// proceed). The storage tier's explicit compaction uses this to write a
   /// segment + rotate the WAL atomically with respect to commits. `fn` must
   /// not call the engine's update methods (self-deadlock on the lock).
-  void WithSnapshot(const std::function<void(const CatalogView&)>& fn) const;
+  void WithSnapshot(const std::function<void(const Snapshot&)>& fn) const;
 
   LiveCounters counters() const;
   const LiveConfig& config() const { return config_; }
@@ -219,12 +209,9 @@ class LiveEngine final : public QueryEngine {
     std::vector<UpdateOp> ops;
   };
 
-  /// Lock-free cores of Plan/Validate for callers already under mu_.
-  PlanDecision DecideLocked(const QuerySpec& spec) const
-      UTK_REQUIRES_SHARED(mu_);
-  Algorithm PlanLocked(const QuerySpec& spec) const UTK_REQUIRES_SHARED(mu_);
-  std::optional<std::string> ValidateLocked(const QuerySpec& spec) const
-      UTK_REQUIRES_SHARED(mu_);
+  /// The query view of the current state (api/execute.h); the pointers
+  /// stay valid while the caller holds mu_.
+  Snapshot SnapshotLocked() const UTK_REQUIRES_SHARED(mu_);
   /// Un-synchronized cores of Insert/Erase; the caller holds the exclusive
   /// lock and owns the commit.
   int32_t InsertLocked(Record rec, UpdateEvent* event) UTK_REQUIRES(mu_);
@@ -240,26 +227,14 @@ class LiveEngine final : public QueryEngine {
   bool CouldAffect(const UpdateEvent& event, const CacheEntryView& view) const
       UTK_NO_THREAD_SAFETY_ANALYSIS;
 
-  Dataset CompactSnapshotLocked(std::vector<int32_t>* live_ids) const
-      UTK_REQUIRES_SHARED(mu_);
-  /// The compact fallback engine for the current epoch (rebuilt at most
-  /// once per epoch, under compact_mu_). Shared lock on mu_ held.
-  std::shared_ptr<const Engine> EnsureCompact() const
-      UTK_REQUIRES_SHARED(mu_);
-  QueryResult RunViaCompact(const QuerySpec& spec) const
-      UTK_REQUIRES_SHARED(mu_);
-  QueryResult RunBandPipeline(const QuerySpec& spec, Algorithm algo) const
-      UTK_REQUIRES_SHARED(mu_);
-
   LiveConfig config_;
   /// Cost model captured at construction (DefaultCostModel()); immutable
-  /// afterwards, so DecideLocked needs no extra synchronization.
+  /// afterwards, so planning needs no extra synchronization.
   std::shared_ptr<const CostModel> model_ = DefaultCostModel();
-  /// Catalog lock. Lock order: mu_ strictly before logs_mu_, caches_mu_,
-  /// and compact_mu_ (Commit and the compact-fallback path) — and, through
-  /// UpdateLog::OnCommit, before the storage Catalog's cat_mu_.
-  mutable SharedMutex mu_ UTK_ACQUIRED_BEFORE(logs_mu_, caches_mu_,
-                                              compact_mu_);
+  /// Catalog lock. Lock order: mu_ strictly before logs_mu_ and
+  /// caches_mu_ (Commit) — and, through UpdateLog::OnCommit, before the
+  /// storage Catalog's cat_mu_.
+  mutable SharedMutex mu_ UTK_ACQUIRED_BEFORE(logs_mu_, caches_mu_);
   Dataset data_ UTK_GUARDED_BY(mu_);
   std::vector<char> alive_ UTK_GUARDED_BY(mu_);
   RTree tree_ UTK_GUARDED_BY(mu_);
@@ -278,11 +253,6 @@ class LiveEngine final : public QueryEngine {
 
   Mutex logs_mu_;
   std::vector<UpdateLog*> logs_ UTK_GUARDED_BY(logs_mu_);
-
-  mutable Mutex compact_mu_;
-  mutable std::shared_ptr<const Engine> compact_ UTK_GUARDED_BY(compact_mu_);
-  mutable std::vector<int32_t> compact_ids_ UTK_GUARDED_BY(compact_mu_);
-  mutable uint64_t compact_epoch_ UTK_GUARDED_BY(compact_mu_) = ~0ull;
 };
 
 /// RAII pairing of a Server's cache with a LiveEngine's epoch sweeps:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/trace.h"
 #include "skyline/dominance.h"
 
 namespace utk {
@@ -38,6 +39,7 @@ LiveSkyband::LiveSkyband(int k, int slack)
 }
 
 void LiveSkyband::Rebuild(const Dataset& data, const RTree& tree) {
+  UTK_SPAN_VAL("live.band_rebuild", tree.num_records());
   count_.clear();
   deletes_since_rebuild_ = 0;
   ++rebuilds_;

@@ -129,12 +129,12 @@ std::unique_ptr<Catalog> Catalog::Create(const std::string& dir, Dataset data,
 
   std::string why;
   bool ok = true;
-  cat->engine_->WithSnapshot([&](const CatalogView& view) {
+  cat->engine_->WithSnapshot([&](const Snapshot& view) {
     // Engine (shared) lock held via WithSnapshot, then cat_mu_ — the
     // documented order.
     MutexLock lock(cat->cat_mu_);
-    if (auto err = WriteSegment(dir + "/" + cat->segment_file_, view.data,
-                                view.alive, view.tree, view.epoch)) {
+    if (auto err = WriteSegment(dir + "/" + cat->segment_file_, *view.data,
+                                view.alive, *view.tree, view.epoch)) {
       why = *err;
       ok = false;
       return;
@@ -238,7 +238,7 @@ Catalog::~Catalog() {
 }
 
 void Catalog::OnCommit(std::span<const UpdateOp> ops,
-                       const CatalogView& view) {
+                       const Snapshot& view) {
   MutexLock lock(cat_mu_);
   std::string why;
   if (!wal_->Append(ops, view.epoch, &why)) {
@@ -254,13 +254,13 @@ void Catalog::OnCommit(std::span<const UpdateOp> ops,
   }
 }
 
-bool Catalog::CompactFromView(const CatalogView& view, std::string* error) {
-  UTK_SPAN_VAL("catalog.compact", static_cast<int64_t>(view.data.size()));
+bool Catalog::CompactFromView(const Snapshot& view, std::string* error) {
+  UTK_SPAN_VAL("catalog.compact", static_cast<int64_t>(view.data->size()));
   const uint64_t next = seqno_ + 1;
   const std::string seg_name = FileName("seg", next, "seg");
   const std::string new_wal_name = FileName("wal", next, "wal");
-  if (auto err = WriteSegment(dir_ + "/" + seg_name, view.data, view.alive,
-                              view.tree, view.epoch)) {
+  if (auto err = WriteSegment(dir_ + "/" + seg_name, *view.data, view.alive,
+                              *view.tree, view.epoch)) {
     if (error != nullptr) *error = *err;
     return false;
   }
@@ -294,7 +294,7 @@ bool Catalog::CompactFromView(const CatalogView& view, std::string* error) {
 
 bool Catalog::Compact(std::string* error) {
   bool ok = true;
-  engine_->WithSnapshot([&](const CatalogView& view) {
+  engine_->WithSnapshot([&](const Snapshot& view) {
     MutexLock lock(cat_mu_);
     ok = CompactFromView(view, error);
   });
@@ -308,10 +308,10 @@ std::optional<std::string> Catalog::io_error() const {
 
 CatalogStats Catalog::stats() const {
   CatalogStats s;
-  engine_->WithSnapshot([&](const CatalogView& view) {
+  engine_->WithSnapshot([&](const Snapshot& view) {
     s.epoch = view.epoch;
-    s.rows = static_cast<int64_t>(view.data.size());
-    for (char a : view.alive) s.live += a ? 1 : 0;
+    s.rows = static_cast<int64_t>(view.data->size());
+    s.live = view.live;
     MutexLock lock(cat_mu_);
     s.seqno = seqno_;
     s.segment_file = segment_file_;

@@ -112,13 +112,13 @@ class Catalog final : public UpdateLog {
 
   /// UpdateLog hook (internal — the engine calls this on every commit).
   void OnCommit(std::span<const UpdateOp> ops,
-                const CatalogView& view) override;
+                const Snapshot& view) override;
 
  private:
   Catalog() = default;
   /// Writes segment seqno+1 + fresh WAL from `view`, swaps the manifest,
   /// retires the old pair. Caller holds the engine lock and cat_mu_.
-  bool CompactFromView(const CatalogView& view, std::string* error)
+  bool CompactFromView(const Snapshot& view, std::string* error)
       UTK_REQUIRES(cat_mu_);
 
   std::string dir_;

@@ -21,10 +21,11 @@
 // QueryStats reports the work: rows_materialized counts the gathers a
 // query caused, mapped_bytes gauges the zero-copy file size.
 //
-// Semantics match a LiveEngine recovered from the same segment with an
-// empty WAL: tombstones keep their ids, Plan chooses against the live
-// count, and baseline/naive specs answer via a compacted engine with ids
-// mapped back — so the differential tests can compare the two directly.
+// Queries run through the shared execution core (api/execute.h) over a
+// Snapshot whose one materialize callback gathers rows before they are
+// read. Semantics match a LiveEngine recovered from the same segment with
+// an empty WAL: tombstones keep their ids and Plan chooses against the live
+// count — so the differential tests can compare the two directly.
 #ifndef UTK_STORAGE_MAPPED_ENGINE_H_
 #define UTK_STORAGE_MAPPED_ENGINE_H_
 
@@ -37,8 +38,9 @@
 #include <vector>
 
 #include "api/engine.h"
-#include "common/annotations.h"
+#include "api/execute.h"
 #include "api/query_engine.h"
+#include "common/annotations.h"
 #include "exec/column_store.h"
 #include "index/rtree.h"
 #include "storage/segment.h"
@@ -86,12 +88,11 @@ class MappedEngine final : public QueryEngine {
  private:
   MappedEngine() = default;
 
-  PlanDecision Decide(const QuerySpec& spec) const;
-  QueryResult RunBandPipeline(const QuerySpec& spec, Algorithm algo) const;
-  QueryResult RunViaCompact(const QuerySpec& spec) const;
-  std::shared_ptr<const Engine> EnsureCompact() const;
-  void EnsureRows(std::span<const int32_t> ids) const;
-  void EnsureAll() const;
+  /// The query view of the segment (api/execute.h).
+  Snapshot snapshot() const;
+  /// Gathers the listed rows (nullptr: every row) not yet materialized and
+  /// returns how many it gathered.
+  int64_t EnsureRows(const std::vector<int32_t>* ids) const;
 
   std::unique_ptr<SegmentReader> seg_;
   RTree tree_;
@@ -109,10 +110,6 @@ class MappedEngine final : public QueryEngine {
   mutable std::vector<char> row_done_ UTK_GUARDED_BY(mat_mu_);
   mutable std::atomic<bool> all_done_{false};
   mutable std::atomic<int64_t> rows_materialized_{0};
-
-  mutable Mutex compact_mu_;
-  mutable std::shared_ptr<const Engine> compact_ UTK_GUARDED_BY(compact_mu_);
-  mutable std::vector<int32_t> compact_ids_ UTK_GUARDED_BY(compact_mu_);
 };
 
 }  // namespace utk

@@ -71,7 +71,7 @@ std::optional<std::string> AtomicWriteFile(const std::string& path,
 
 std::optional<std::string> WriteSegment(const std::string& path,
                                         const Dataset& data,
-                                        const std::vector<char>& alive,
+                                        std::span<const char> alive,
                                         const RTree& tree, uint64_t epoch) {
   const int32_t n = static_cast<int32_t>(data.size());
   const int dim = data.empty() ? 0 : DataDim(data);

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,7 +64,7 @@ std::optional<std::string> AtomicWriteFile(const std::string& path,
 /// NaN would poison the zonemaps.
 std::optional<std::string> WriteSegment(const std::string& path,
                                         const Dataset& data,
-                                        const std::vector<char>& alive,
+                                        std::span<const char> alive,
                                         const RTree& tree, uint64_t epoch);
 
 /// Read side: maps the file and exposes the verified blocks zero-copy.

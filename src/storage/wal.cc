@@ -183,7 +183,7 @@ bool WalWriter::Append(std::span<const UpdateOp> ops, uint64_t epoch,
 }
 
 void WalWriter::OnCommit(std::span<const UpdateOp> ops,
-                         const CatalogView& view) {
+                         const Snapshot& view) {
   std::string err;
   if (!Append(ops, view.epoch, &err)) {
     ok_ = false;

@@ -76,7 +76,7 @@ class WalWriter final : public UpdateLog {
   /// rather than throwing through the engine's commit path; the catalog
   /// surfaces the error on its next operation.
   void OnCommit(std::span<const UpdateOp> ops,
-                const CatalogView& view) override;
+                const Snapshot& view) override;
 
   /// The append core. Returns false (with a diagnostic) on I/O failure or
   /// when a record violates the finite-attribute ingest policy.

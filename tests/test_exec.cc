@@ -35,8 +35,8 @@ class TierGuard {
 };
 
 // The tiers this host can actually run: always scalar, plus the best
-// vector tier when there is one. On the x86 CI runner this covers AVX2;
-// on an aarch64 host the same loop covers NEON.
+// vector tier when there is one: AVX2 on an x86-64 host; other hosts run
+// the scalar kernels only.
 std::vector<SimdTier> HostTiers() {
   std::vector<SimdTier> tiers{SimdTier::kScalar};
   if (BestSupportedSimdTier() != SimdTier::kScalar)
