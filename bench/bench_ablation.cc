@@ -6,9 +6,10 @@
 //   * wave cap               (small local arrangements vs one big wave)
 //   * filtering strength     (r-skyband vs k-skyband vs onion candidates)
 //
+//   * data-plane layout       (the SoA TopKScan kernel vs the AoS TopK loop)
+//
 // All knobs ride on QuerySpec; the engine maps them onto the executing
 // algorithm's options.
-//   * data-plane layout       (SoA columnar kernels vs AoS record loops)
 #include <algorithm>
 
 #include "bench_common.h"
@@ -95,49 +96,19 @@ BENCHMARK(Ablation_RSA_Wave4)->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(Ablation_RSA_Wave16)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 // ---------------------------------------------------------------------------
-// Data-plane layout ablation: the same operators through the AoS Record
-// loops versus the SoA ColumnStore kernels (src/exec/), on a 100k-record
-// IND corpus. These pairs are the perf contract of the columnar data
-// plane — tools/check_bench.py gates CI on their speedup ratio.
+// Data-plane layout ablation: the top-k probe through the AoS Record loop
+// (core/topk.h TopK, the scalar reference) versus the SoA TopKScan kernel
+// (src/exec/), on a 100k-record IND corpus. The filters read only the
+// ColumnStore, so they have no AoS side left to compare. This pair is the
+// perf contract of the columnar scan — tools/check_bench.py gates CI on its
+// speedup ratio.
 // ---------------------------------------------------------------------------
 constexpr int kLayoutN = 100000;
-constexpr int kLayoutK = 5;
 constexpr double kLayoutSigma = 0.1;
 
 const Engine& LayoutData() {
   return Corpus::Synthetic(Distribution::kIndependent, ScaledN(kLayoutN),
                            kDim);
-}
-
-// r-skyband filter, AoS path (cols == nullptr: per-record Score() chases
-// the attrs vector, per-pair RDominance allocates a coefficient vector).
-void Ablation_Layout_Filter_AoS(benchmark::State& state) {
-  const Engine& engine = LayoutData();
-  auto queries = Queries(kDim - 1, kLayoutSigma);
-  for (auto _ : state) {
-    double out = 0;
-    for (const ConvexRegion& region : queries)
-      out += static_cast<double>(
-          ComputeRSkyband(engine.data(), engine.tree(), region, kLayoutK)
-              .ids.size());
-    state.counters["band"] = out / queries.size();
-  }
-}
-
-// r-skyband filter, SoA path (batched leaf scoring + allocation-free box
-// gap ranges over the engine's ColumnStore).
-void Ablation_Layout_Filter_SoA(benchmark::State& state) {
-  const Engine& engine = LayoutData();
-  auto queries = Queries(kDim - 1, kLayoutSigma);
-  for (auto _ : state) {
-    double out = 0;
-    for (const ConvexRegion& region : queries)
-      out += static_cast<double>(
-          ComputeRSkyband(engine.data(), engine.tree(), region, kLayoutK,
-                          nullptr, &engine.cols())
-              .ids.size());
-    state.counters["band"] = out / queries.size();
-  }
 }
 
 // Top-k probe, AoS path: full scan with per-record Score().
@@ -174,8 +145,6 @@ void Ablation_Layout_TopKProbe_SoA(benchmark::State& state) {
                           engine.data().size());
 }
 
-BENCHMARK(Ablation_Layout_Filter_AoS)->Unit(benchmark::kMillisecond);
-BENCHMARK(Ablation_Layout_Filter_SoA)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Layout_TopKProbe_AoS)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Layout_TopKProbe_SoA)->Unit(benchmark::kMillisecond);
 
@@ -378,13 +347,14 @@ void Ablation_Filters(benchmark::State& state) {
     double rband = 0;
     for (const ConvexRegion& region : queries)
       rband += static_cast<double>(
-          ComputeRSkyband(engine.data(), engine.tree(), region, kK)
+          ComputeRSkyband(engine.cols(), engine.tree(), region, kK)
               .ids.size());
     state.counters["r_skyband"] = rband / queries.size();
     state.counters["k_skyband"] = static_cast<double>(
-        KSkyband(engine.data(), engine.tree(), kK).size());
+        KSkyband(engine.cols(), engine.tree(), kK).size());
     state.counters["onion"] = static_cast<double>(
-        OnionCandidates(engine.data(), engine.tree(), kK, &tmp).size());
+        OnionCandidates(engine.data(), engine.cols(), engine.tree(), kK, &tmp)
+            .size());
   }
 }
 BENCHMARK(Ablation_Filters)->Unit(benchmark::kMillisecond)->Iterations(1);

@@ -86,8 +86,8 @@ double SingleFilterMs() {
       const bool timed = rep == kReps;  // earlier passes warm the caches
       Timer timer;
       for (const ConvexRegion& region : queries) {
-        RSkybandResult band =
-            ComputeRSkyband(engine->data(), engine->tree(), region, kFilterK);
+        RSkybandResult band = ComputeRSkyband(engine->cols(), engine->tree(),
+                                              region, kFilterK);
         benchmark::DoNotOptimize(band.ids.data());
       }
       if (timed) return timer.ElapsedMs() / static_cast<double>(queries.size());
@@ -105,7 +105,7 @@ void FilterSingle(benchmark::State& state) {
   for (auto _ : state) {
     for (const ConvexRegion& region : queries) {
       RSkybandResult band =
-          ComputeRSkyband(engine->data(), engine->tree(), region, kFilterK);
+          ComputeRSkyband(engine->cols(), engine->tree(), region, kFilterK);
       benchmark::DoNotOptimize(band.ids.data());
       candidates += static_cast<double>(band.ids.size());
       ++count;

@@ -34,8 +34,9 @@ void Fig09a(benchmark::State& state) {
   for (auto _ : state) {
     QueryResult utk1 = engine.Run(spec);
     QueryStats tmp;
-    auto onion = OnionCandidates(engine.data(), engine.tree(), spec.k, &tmp);
-    auto sky = KSkyband(engine.data(), engine.tree(), spec.k);
+    auto onion = OnionCandidates(engine.data(), engine.cols(), engine.tree(),
+                                 spec.k, &tmp);
+    auto sky = KSkyband(engine.cols(), engine.tree(), spec.k);
     state.counters["utk1"] = static_cast<double>(utk1.ids.size());
     state.counters["onion"] = static_cast<double>(onion.size());
     state.counters["skyband"] = static_cast<double>(sky.size());

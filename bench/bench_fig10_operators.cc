@@ -34,8 +34,9 @@ void Fig10(benchmark::State& state) {
   for (auto _ : state) {
     double sky_n = 0, onion_n = 0, utk_n = 0, tk_needed = 0;
     QueryStats tmp;
-    auto sky = KSkyband(engine.data(), engine.tree(), k);
-    auto onion = OnionCandidates(engine.data(), engine.tree(), k, &tmp);
+    auto sky = KSkyband(engine.cols(), engine.tree(), k);
+    auto onion =
+        OnionCandidates(engine.data(), engine.cols(), engine.tree(), k, &tmp);
     for (const ConvexRegion& region : queries) {
       QuerySpec spec = Spec(QueryMode::kUtk1, Algorithm::kAuto, k);
       spec.region = region;

@@ -48,8 +48,9 @@ int main(int argc, char** argv) {
 
   QueryResult utk1 = engine2.Run(spec);
   QueryStats tmp;
-  auto onion = OnionCandidates(engine2.data(), engine2.tree(), spec.k, &tmp);
-  auto skyband = KSkyband(engine2.data(), engine2.tree(), spec.k);
+  auto onion = OnionCandidates(engine2.data(), engine2.cols(), engine2.tree(),
+                               spec.k, &tmp);
+  auto skyband = KSkyband(engine2.cols(), engine2.tree(), spec.k);
 
   std::printf("== Figure 9(a): d=2 (rebounds, points), k=3, R=[0.64,0.74]\n");
   std::printf("   UTK1 players:     %zu (via %s)\n", utk1.ids.size(),

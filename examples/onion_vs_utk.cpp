@@ -37,8 +37,9 @@ int main(int argc, char** argv) {
               "UTK1", "TK needed", "TK output");
   for (int k : {1, 2, 5, 10}) {
     spec.k = k;
-    auto skyband = KSkyband(engine.data(), engine.tree(), k);
-    auto onion = OnionCandidates(engine.data(), engine.tree(), k);
+    auto skyband = KSkyband(engine.cols(), engine.tree(), k);
+    auto onion =
+        OnionCandidates(engine.data(), engine.cols(), engine.tree(), k);
     QueryResult utk1 = engine.Run(spec);
     // Figure 10(b): how large must a plain top-k' be to cover UTK1?
     IncrementalTopK inc(engine.data(), *pivot);

@@ -22,10 +22,9 @@ std::optional<Engine> Engine::FromCsvFile(const std::string& path) {
 }
 
 Snapshot Engine::snapshot() const {
-  Snapshot snap;
+  Snapshot snap{.cols = cols_};
   snap.data = &data_;
   snap.tree = &tree_;
-  snap.cols = &cols_;
   snap.live = size();
   snap.dim = dim();
   snap.model = model_.get();
@@ -44,8 +43,9 @@ PlanNode Engine::Explain(const QuerySpec& spec) const {
   return utk::Explain(snapshot(), spec);
 }
 
-std::optional<std::string> Engine::Validate(const QuerySpec& spec) const {
-  return utk::Validate(snapshot(), spec);
+std::optional<std::string> Engine::Validate(const QuerySpec& spec,
+                                            Algorithm* planned) const {
+  return utk::Validate(snapshot(), spec, planned);
 }
 
 QueryResult Engine::Run(const QuerySpec& spec) const {
@@ -71,7 +71,7 @@ BatchQueryResult Engine::RunBatch(std::span<const QuerySpec> specs,
 }
 
 std::vector<int32_t> Engine::TopK(const Vec& w, int k) const {
-  return TopKRTree(data_, tree_, w, k, nullptr, &cols_);
+  return TopKRTree(cols_, tree_, w, k);
 }
 
 }  // namespace utk

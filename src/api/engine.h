@@ -101,7 +101,8 @@ class Engine final : public QueryEngine {
   /// nullopt when `spec` would execute, otherwise the exact diagnostic Run
   /// would return. The serving layer uses this to bypass its cache for
   /// specs the engine will reject.
-  std::optional<std::string> Validate(const QuerySpec& spec) const override;
+  std::optional<std::string> Validate(
+      const QuerySpec& spec, Algorithm* planned = nullptr) const override;
 
   /// Answers one query. Invalid specs (k < 1, region dimensionality
   /// mismatch, algorithm/mode combinations that cannot answer — e.g. RSA

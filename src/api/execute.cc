@@ -34,21 +34,17 @@ std::optional<std::string> Admit(const Snapshot& snap, const QuerySpec& spec,
 }
 
 /// The snapshot's own filter + refine: the band pool when it covers k,
-/// otherwise the live R-tree. `gathered` accumulates materialized rows.
+/// otherwise the live R-tree. The filter reads only the columns, whatever
+/// the region shape. `gathered` accumulates materialized rows.
 QueryResult FilterAndRefine(const Snapshot& snap, const QuerySpec& spec,
                             Algorithm algo, int64_t* gathered) {
-  // A box-region filter runs on the columns alone; a general convex region
-  // evaluates raw records in its LP tests, so gather them first.
-  if (snap.materialize && !spec.region.is_box())
-    *gathered += snap.materialize(nullptr);
   QueryStats filter_stats;
   const RSkybandResult band =
       snap.band != nullptr && spec.k <= snap.band->k()
-          ? ComputeRSkybandFromPool(*snap.data, snap.band->BandIds(),
-                                    spec.region, spec.k, &filter_stats,
-                                    snap.cols)
-          : ComputeRSkyband(*snap.data, *snap.tree, spec.region, spec.k,
-                            &filter_stats, snap.cols);
+          ? ComputeRSkybandFromPool(snap.cols, snap.band->BandIds(),
+                                    spec.region, spec.k, &filter_stats)
+          : ComputeRSkyband(snap.cols, *snap.tree, spec.region, spec.k,
+                            &filter_stats);
   // Refinement (and its drill probes) touch exactly the band rows.
   if (snap.materialize) *gathered += snap.materialize(&band.ids);
   QueryResult r = RefineBand(*snap.data, band, spec, algo);
@@ -84,12 +80,12 @@ QueryResult RunOutsideBand(const Snapshot& snap, const QuerySpec& spec,
                                             : BaselineFilter::kOnion);
   if (spec.mode == QueryMode::kUtk1) {
     Utk1Result res =
-        b.RunUtk1(*snap.data, *snap.tree, spec.region, spec.k, snap.cols);
+        b.RunUtk1(*snap.data, snap.cols, *snap.tree, spec.region, spec.k);
     r.ids = std::move(res.ids);
     r.stats = res.stats;
   } else {
     r.per_record =
-        b.RunUtk2(*snap.data, *snap.tree, spec.region, spec.k, snap.cols);
+        b.RunUtk2(*snap.data, snap.cols, *snap.tree, spec.region, spec.k);
     r.ids = r.per_record.AllRecords();
     r.stats = r.per_record.stats;
   }
@@ -99,9 +95,12 @@ QueryResult RunOutsideBand(const Snapshot& snap, const QuerySpec& spec,
 }  // namespace
 
 std::optional<std::string> Validate(const Snapshot& snap,
-                                    const QuerySpec& spec) {
+                                    const QuerySpec& spec,
+                                    Algorithm* planned) {
   PlanDecision decision;
-  return Admit(snap, spec, &decision);
+  std::optional<std::string> error = Admit(snap, spec, &decision);
+  if (!error.has_value() && planned != nullptr) *planned = decision.algorithm;
+  return error;
 }
 
 PlanDecision Decide(const Snapshot& snap, const QuerySpec& spec) {

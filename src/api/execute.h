@@ -7,6 +7,10 @@
 // lock with the maintained band as a filter pool, and PartitionedEngine
 // passes its sharded-filter/tile decomposition as the band runner.
 //
+// Layout: the filters (r-skyband, k-skyband) read only `cols`, the SoA
+// mirror of `data`, for every region shape; refinement, the onion hull LPs,
+// kSPR and the naive oracle read AoS records from `data`.
+//
 // Tombstones: `data` may hold dead rows but `tree` indexes only live ones.
 // The filters and the SK/ON baselines reach rows through the tree (or the
 // band pool), so they run on the snapshot directly; the naive oracle scans
@@ -32,15 +36,15 @@
 
 namespace utk {
 
-/// A read-only view of one catalog state. The pointers alias engine
-/// internals, which the provider keeps stable until the call returns.
+/// A read-only view of one catalog state. The pointers and `cols` alias
+/// engine internals, which the provider keeps stable until the call returns.
 struct Snapshot {
   /// Root operator: the query span, the slow-log label and the EXPLAIN root.
   const char* op = "engine.run";
   const Dataset* data = nullptr;  ///< id-addressed rows, tombstones included
-  std::span<const char> alive;    ///< per-row liveness; empty = all live
+  std::span<const char> alive = {};  ///< per-row liveness; empty = all live
   const RTree* tree = nullptr;    ///< indexes exactly the live rows
-  const ColumnStore* cols = nullptr;  ///< SoA mirror of *data
+  const ColumnStore& cols;        ///< SoA mirror of *data: what filters read
   int64_t live = 0;               ///< live rows: what the planner sees
   int dim = 0;                    ///< attribute dimensionality
   uint64_t epoch = 0;
@@ -49,9 +53,11 @@ struct Snapshot {
   /// k <= band->k() (skyline/live_band.h).
   const LiveSkyband* band = nullptr;
   /// Gathers AoS rows before they are read (`ids`, or every row when
-  /// nullptr) and returns how many it gathered. Unset when `data` is
+  /// nullptr) and returns how many it gathered: the band rows ahead of
+  /// refinement, every row ahead of SK/ON/naive. Unset when `data` is
   /// complete; only the mmap-backed engine sets it.
-  std::function<int64_t(const std::vector<int32_t>* ids)> materialize;
+  std::function<int64_t(const std::vector<int32_t>* ids)> materialize =
+      nullptr;
   int64_t mapped_bytes = 0;  ///< size of the file behind `cols`, if any
 
   int pref_dim() const { return PrefDim(dim); }
@@ -63,8 +69,11 @@ inline bool UsesBand(Algorithm algo) {
 }
 
 /// nullopt when `spec` would execute over `snap`, else Execute's diagnostic.
+/// `planned`, when non-null, receives the algorithm of a valid spec from
+/// the same single plan decision.
 std::optional<std::string> Validate(const Snapshot& snap,
-                                    const QuerySpec& spec);
+                                    const QuerySpec& spec,
+                                    Algorithm* planned = nullptr);
 
 PlanDecision Decide(const Snapshot& snap, const QuerySpec& spec);
 

@@ -48,7 +48,11 @@ class QueryEngine {
 
   /// The rejection rules Run applies, without running: nullopt when `spec`
   /// would execute, otherwise the exact diagnostic Run would return.
-  virtual std::optional<std::string> Validate(const QuerySpec& spec) const = 0;
+  /// `planned`, when non-null, receives Plan(spec) for a valid spec from the
+  /// same decision, so a caller that needs both decides once. Overrides
+  /// repeat the nullptr default.
+  virtual std::optional<std::string> Validate(
+      const QuerySpec& spec, Algorithm* planned = nullptr) const = 0;
 
   /// Answers one query; invalid specs come back with ok == false and a
   /// diagnostic, never a crash.
@@ -67,7 +71,7 @@ class QueryEngine {
   /// names from the span vocabulary (DESIGN.md §12), the planned algorithm
   /// and the planner's reason in the root detail, cardinality/cost
   /// estimates where the engine can make them. Never runs the query; for a
-  /// spec Validate rejects, the root detail carries the diagnostic.
+  /// spec Validate rejects, the root detail is "invalid: <diagnostic>".
   virtual PlanNode Explain(const QuerySpec& spec) const = 0;
 
   /// EXPLAIN ANALYZE: runs the query with span tracing on, rebuilds the

@@ -23,24 +23,25 @@ std::vector<int32_t> BaselineUtk2Result::AllRecords() const {
 }
 
 std::vector<int32_t> Baseline::FilterCandidates(const Dataset& data,
+                                                const ColumnStore& cols,
                                                 const RTree& tree, int k,
-                                                QueryStats* stats,
-                                                const ColumnStore* cols) const {
-  std::vector<int32_t> cands = filter_ == BaselineFilter::kSkyband
-                                   ? KSkyband(data, tree, k, stats, cols)
-                                   : OnionCandidates(data, tree, k, stats);
+                                                QueryStats* stats) const {
+  std::vector<int32_t> cands =
+      filter_ == BaselineFilter::kSkyband
+          ? KSkyband(cols, tree, k, stats)
+          : OnionCandidates(data, cols, tree, k, stats);
   std::sort(cands.begin(), cands.end());
   if (stats != nullptr) stats->candidates = static_cast<int64_t>(cands.size());
   return cands;
 }
 
-Utk1Result Baseline::RunUtk1(const Dataset& data, const RTree& tree,
-                             const ConvexRegion& r, int k,
-                             const ColumnStore* cols) const {
+Utk1Result Baseline::RunUtk1(const Dataset& data, const ColumnStore& cols,
+                             const RTree& tree, const ConvexRegion& r,
+                             int k) const {
   Utk1Result result;
   Timer timer;
   std::vector<int32_t> cands =
-      FilterCandidates(data, tree, k, &result.stats, cols);
+      FilterCandidates(data, cols, tree, k, &result.stats);
   {
     UTK_SPAN_VAL("baseline.refine", static_cast<int64_t>(cands.size()));
     for (int32_t p : cands) {
@@ -54,13 +55,14 @@ Utk1Result Baseline::RunUtk1(const Dataset& data, const RTree& tree,
   return result;
 }
 
-BaselineUtk2Result Baseline::RunUtk2(const Dataset& data, const RTree& tree,
-                                     const ConvexRegion& r, int k,
-                                     const ColumnStore* cols) const {
+BaselineUtk2Result Baseline::RunUtk2(const Dataset& data,
+                                     const ColumnStore& cols,
+                                     const RTree& tree, const ConvexRegion& r,
+                                     int k) const {
   BaselineUtk2Result result;
   Timer timer;
   std::vector<int32_t> cands =
-      FilterCandidates(data, tree, k, &result.stats, cols);
+      FilterCandidates(data, cols, tree, k, &result.stats);
   {
     UTK_SPAN_VAL("baseline.refine", static_cast<int64_t>(cands.size()));
     for (int32_t p : cands) {

@@ -41,24 +41,22 @@ class Baseline {
  public:
   explicit Baseline(BaselineFilter filter) : filter_(filter) {}
 
-  /// UTK1 via filter + early-exit kSPR per candidate. `cols`, when
-  /// non-null, must mirror `data`; the SK filter then probes its skyband
-  /// membership through the batched kernel (skyline/skyband.h).
-  Utk1Result RunUtk1(const Dataset& data, const RTree& tree,
-                     const ConvexRegion& r, int k,
-                     const ColumnStore* cols = nullptr) const;
+  /// UTK1 via filter + early-exit kSPR per candidate. `cols` is the SoA
+  /// mirror of `data`: both filters compute their k-skyband from it
+  /// (skyline/skyband.h), while the onion hull LPs and kSPR read `data`.
+  Utk1Result RunUtk1(const Dataset& data, const ColumnStore& cols,
+                     const RTree& tree, const ConvexRegion& r, int k) const;
 
   /// UTK2 via filter + full kSPR per candidate.
-  BaselineUtk2Result RunUtk2(const Dataset& data, const RTree& tree,
-                             const ConvexRegion& r, int k,
-                             const ColumnStore* cols = nullptr) const;
+  BaselineUtk2Result RunUtk2(const Dataset& data, const ColumnStore& cols,
+                             const RTree& tree, const ConvexRegion& r,
+                             int k) const;
 
   /// The filtering step alone (candidate record ids).
   std::vector<int32_t> FilterCandidates(const Dataset& data,
+                                        const ColumnStore& cols,
                                         const RTree& tree, int k,
-                                        QueryStats* stats = nullptr,
-                                        const ColumnStore* cols = nullptr)
-      const;
+                                        QueryStats* stats = nullptr) const;
 
  private:
   BaselineFilter filter_;

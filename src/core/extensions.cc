@@ -29,8 +29,9 @@ ImmutableRegionResult ImmutableRegion(const Dataset& data, const Vec& w,
   // (k+1)-skyband challengers define the same region.
   std::vector<int32_t> challengers;
   if (prune) {
-    RTree tree = RTree::BulkLoad(data);
-    for (int32_t id : KSkyband(data, tree, k + 1, &out.stats)) {
+    const RTree tree = RTree::BulkLoad(data);
+    const ColumnStore cols(data);
+    for (int32_t id : KSkyband(cols, tree, k + 1, &out.stats)) {
       if (top_set.count(id) == 0) challengers.push_back(id);
     }
   } else {
@@ -58,8 +59,8 @@ ImmutableRegionResult ImmutableRegion(const Dataset& data, const Vec& w,
 KsprResult MonochromaticReverseTopK(const Dataset& data, int32_t p,
                                     const ConvexRegion& r, int k,
                                     QueryStats* stats) {
-  RTree tree = RTree::BulkLoad(data);
-  std::vector<int32_t> cands = KSkyband(data, tree, k, stats);
+  const RTree tree = RTree::BulkLoad(data);
+  std::vector<int32_t> cands = KSkyband(ColumnStore(data), tree, k, stats);
   // p itself may be outside the k-skyband (then it can never qualify, and
   // kSPR will correctly report no cells).
   return Kspr(data, p, cands, r, k, /*early_exit=*/false, stats);

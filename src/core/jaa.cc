@@ -307,19 +307,6 @@ void Refine(const Jaa::Options& options, const Dataset& data,
 
 }  // namespace
 
-Utk2Result Jaa::Run(const Dataset& data, const RTree& tree,
-                    const ConvexRegion& r, int k,
-                    const ColumnStore* cols) const {
-  Utk2Result result;
-  Timer timer;
-  RSkybandResult band =
-      ComputeRSkyband(data, tree, r, k, &result.stats, cols);
-  Refine(options_, data, band, r, k, &result);
-  result.Canonicalize();
-  result.stats.elapsed_ms = timer.ElapsedMs();
-  return result;
-}
-
 Utk2Result Jaa::RunFiltered(const Dataset& data, const RSkybandResult& band,
                             const ConvexRegion& r, int k) const {
   Utk2Result result;

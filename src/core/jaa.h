@@ -1,6 +1,7 @@
 // JAA — the Joint Arrangement Algorithm for UTK2 (Section 5).
 //
-// JAA shares RSA's filtering step (r-skyband + r-dominance graph) but builds
+// JAA shares RSA's filtering step (r-skyband + r-dominance graph, computed
+// over the ColumnStore by api/execute.cc — see rsa.h) but builds
 // one *common global arrangement* of R. An anchor record partitions the
 // current region via the verification-like process of Section 4.2 (drill and
 // early termination disabled); each partition is classified as
@@ -16,7 +17,6 @@
 #define UTK_CORE_JAA_H_
 
 #include "core/utk.h"
-#include "index/rtree.h"
 #include "skyline/rskyband.h"
 
 namespace utk {
@@ -41,16 +41,10 @@ class Jaa {
   Jaa() = default;
   explicit Jaa(Options options) : options_(options) {}
 
-  /// Answers UTK2 for `data` (indexed by `tree`), parameter `k`, region `r`.
-  /// `cols`, when non-null, must mirror `data`; the filtering step then
-  /// runs its columnar fast paths (see Rsa::Run).
-  Utk2Result Run(const Dataset& data, const RTree& tree, const ConvexRegion& r,
-                 int k, const ColumnStore* cols = nullptr) const;
-
-  /// Refinement only: builds the common global arrangement from an
-  /// already-computed filter output (see Rsa::RunFiltered for the band
-  /// contract). Used by the partitioned engine (src/dist/) to refine a
-  /// pooled band produced by per-shard filtering.
+  /// Builds the common global arrangement from the filter's output (see
+  /// Rsa::RunFiltered for the band contract) — the global r-skyband, the
+  /// live engine's band pool re-filtered, or the partitioned engine's
+  /// pooled per-shard band (src/dist/).
   Utk2Result RunFiltered(const Dataset& data, const RSkybandResult& band,
                          const ConvexRegion& r, int k) const;
 

@@ -299,18 +299,6 @@ void Refine(const Rsa::Options& options, const Dataset& data,
 
 }  // namespace
 
-Utk1Result Rsa::Run(const Dataset& data, const RTree& tree,
-                    const ConvexRegion& r, int k,
-                    const ColumnStore* cols) const {
-  Utk1Result result;
-  Timer timer;
-  RSkybandResult band =
-      ComputeRSkyband(data, tree, r, k, &result.stats, cols);
-  Refine(options_, data, band, r, k, &result);
-  result.stats.elapsed_ms = timer.ElapsedMs();
-  return result;
-}
-
 Utk1Result Rsa::RunFiltered(const Dataset& data, const RSkybandResult& band,
                             const ConvexRegion& r, int k) const {
   Utk1Result result;

@@ -1,6 +1,7 @@
 // RSA — the r-Skyband Algorithm for UTK1 (Section 4).
 //
-// Filtering: compute the r-skyband and the r-dominance graph G (Section 4.1).
+// Filtering: compute the r-skyband and the r-dominance graph G (Section 4.1;
+// skyline/rskyband.h over the ColumnStore, run by api/execute.cc).
 // Refinement: verify candidates one by one in descending r-dominance-count
 // order; a verified candidate confirms all its ancestors in G for free, and
 // a disqualified candidate is removed from G. Verification of a candidate
@@ -11,7 +12,6 @@
 #define UTK_CORE_RSA_H_
 
 #include "core/utk.h"
-#include "index/rtree.h"
 #include "skyline/graph.h"
 
 namespace utk {
@@ -42,21 +42,13 @@ class Rsa {
   Rsa() = default;
   explicit Rsa(Options options) : options_(options) {}
 
-  /// Answers UTK1 for `data` (indexed by `tree`), parameter `k`, region `r`.
-  /// `cols`, when non-null, must mirror `data` (exec/column_store.h); the
-  /// filtering step then runs its columnar fast paths. Refinement always
-  /// gathers its own band-local ColumnStore — the band is scored thousands
-  /// of times, so the gather pays for itself immediately.
-  Utk1Result Run(const Dataset& data, const RTree& tree,
-                 const ConvexRegion& r, int k,
-                 const ColumnStore* cols = nullptr) const;
-
-  /// Refinement only: answers UTK1 from an already-computed filter output.
-  /// `band` must cover every top-k set over `r` and carry the r-dominance
-  /// arcs within itself — either ComputeRSkyband's output or a pooled band
-  /// from ComputeRSkybandFromPool (the partitioned engine's sharded filter,
-  /// src/dist/). `stats.candidates` reports the band size; the filter's own
-  /// cost is whoever produced the band's to account.
+  /// Answers UTK1 from the filter's output; the filter itself runs in
+  /// api/execute.cc, RSA's only caller. `band` must cover every top-k set
+  /// over `r` and carry the r-dominance arcs within itself — either
+  /// ComputeRSkyband's output or a pooled band from ComputeRSkybandFromPool
+  /// (the live band pool, the partitioned engine's sharded filter).
+  /// `stats.candidates` reports the band size; the filter's own cost is
+  /// whoever produced the band's to account.
   Utk1Result RunFiltered(const Dataset& data, const RSkybandResult& band,
                          const ConvexRegion& r, int k) const;
 

@@ -26,12 +26,10 @@ std::vector<int32_t> TopK(const Dataset& data, const Vec& w, int k) {
   return out;
 }
 
-std::vector<int32_t> TopKRTree(const Dataset& data, const RTree& tree,
-                               const Vec& w, int k, QueryStats* stats,
-                               const ColumnStore* cols) {
+std::vector<int32_t> TopKRTree(const ColumnStore& cols, const RTree& tree,
+                               const Vec& w, int k, QueryStats* stats) {
   std::vector<int32_t> out;
   if (tree.empty() || k <= 0) return out;
-  const bool soa = cols != nullptr && !cols->empty();
   std::vector<Scalar> leaf_scores;
 
   struct Entry {
@@ -66,15 +64,10 @@ std::vector<int32_t> TopKRTree(const Dataset& data, const RTree& tree,
     }
     const RTreeNode& node = tree.node(e.id);
     if (node.is_leaf) {
-      if (soa) {
-        leaf_scores.resize(node.record_ids.size());
-        ScoreBatch(*cols, w, node.record_ids, leaf_scores.data());
-        for (size_t i = 0; i < node.record_ids.size(); ++i)
-          heap.push({leaf_scores[i], true, node.record_ids[i]});
-      } else {
-        for (int32_t rid : node.record_ids)
-          heap.push({Score(data[rid], w), true, rid});
-      }
+      leaf_scores.resize(node.record_ids.size());
+      ScoreBatch(cols, w, node.record_ids, leaf_scores.data());
+      for (size_t i = 0; i < node.record_ids.size(); ++i)
+        heap.push({leaf_scores[i], true, node.record_ids[i]});
     } else {
       for (int32_t child : node.entries)
         heap.push({corner_score(tree.node(child).mbb.TopCorner()), false,

@@ -21,14 +21,13 @@ std::vector<int32_t> TopK(const Dataset& data, const Vec& w, int k);
 /// by the score upper bound of each subtree (its MBB top corner). Visits
 /// only the nodes whose bound exceeds the running k-th score — the classic
 /// way to answer top-k without scanning the dataset. Same output contract
-/// as TopK (best first, id tie-break). `cols`, when non-null, must mirror
-/// `data`; popped leaves are then scored through the batched ScoreBatch
-/// kernel (bit-identical, see exec/kernels.h). The full-scan alternative is
-/// exec/kernels.h TopKScan (the fused score + bounded-heap kernel).
-std::vector<int32_t> TopKRTree(const Dataset& data, const RTree& tree,
+/// as TopK (best first, id tie-break). Popped leaves are scored from `cols`
+/// through the batched ScoreBatch kernel (bit-identical to Score(), see
+/// exec/kernels.h). The full-scan alternative is exec/kernels.h TopKScan
+/// (the fused score + bounded-heap kernel).
+std::vector<int32_t> TopKRTree(const ColumnStore& cols, const RTree& tree,
                                const Vec& w, int k,
-                               QueryStats* stats = nullptr,
-                               const ColumnStore* cols = nullptr);
+                               QueryStats* stats = nullptr);
 
 /// Incremental top-k: ranks the whole dataset for w (best first) so callers
 /// can probe ever-larger prefixes, as in the "can a larger k simulate UTK1?"

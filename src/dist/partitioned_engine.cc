@@ -60,13 +60,7 @@ void PartitionedEngine::BuildShards() {
   const Dataset& data = base_->data();
   shard_of_.assign(data.size(), 0);
   if (config_.shards <= 1) {
-    // Single shard: alias the base engine's dataset, R-tree, and column
-    // store rather than duplicating them — a tiles-only configuration
-    // costs no extra memory.
-    shards_.resize(1);
-    shards_[0].records = &data;
-    shards_[0].tree = &base_->tree();
-    shards_[0].cols = &base_->cols();
+    shards_.resize(1);  // filters over the base engine's tree and store
     return;
   }
   std::vector<std::vector<int32_t>> parts =
@@ -77,17 +71,17 @@ void PartitionedEngine::BuildShards() {
   ParallelFor(static_cast<int>(parts.size()), threads, [&](int s) {
     Shard& shard = shards_[s];
     shard.global_ids = std::move(parts[s]);
-    shard.owned_records.reserve(shard.global_ids.size());
+    // The re-indexed rows (rows[i].id == i) live only long enough to build
+    // the shard's tree and store.
+    Dataset rows;
+    rows.reserve(shard.global_ids.size());
     for (size_t i = 0; i < shard.global_ids.size(); ++i) {
       Record r = data[shard.global_ids[i]];
-      r.id = static_cast<int32_t>(i);  // re-index: records[i].id == i
-      shard.owned_records.push_back(std::move(r));
+      r.id = static_cast<int32_t>(i);
+      rows.push_back(std::move(r));
     }
-    shard.owned_tree = RTree::BulkLoad(shard.owned_records);
-    shard.owned_cols = ColumnStore(shard.owned_records);
-    shard.records = &shard.owned_records;
-    shard.tree = &shard.owned_tree;
-    shard.cols = &shard.owned_cols;
+    shard.tree = RTree::BulkLoad(rows);
+    shard.cols = ColumnStore(rows);
   });
   for (size_t s = 0; s < shards_.size(); ++s)
     for (int32_t id : shards_[s].global_ids)
@@ -139,7 +133,9 @@ void PartitionedEngine::FilterAll(
     UTK_SPAN("dist.shard_filter");
     const int t = idx / S, s = idx % S;
     const Shard& shard = shards_[s];
-    if (shard.records->empty()) return;  // empty shard: empty band
+    const RTree& tree = S == 1 ? base_->tree() : shard.tree;
+    const ColumnStore& cols = S == 1 ? base_->cols() : shard.cols;
+    if (cols.empty()) return;  // empty shard: empty band
     Timer timer;
     // Seed records from other shards act as external pruners; the shard's
     // own must not (a record would count as its own dominator). The filter
@@ -149,8 +145,7 @@ void PartitionedEngine::FilterAll(
     for (int32_t id : seeds[t])
       if (shard_of_[id] != s) pruners.push_back(base_->data()[id]);
     RSkybandResult local =
-        ComputeRSkyband(*shard.records, *shard.tree, tiles[t], k, pruners,
-                        &(*stats)[idx], shard.cols);
+        ComputeRSkyband(cols, tree, tiles[t], k, pruners, &(*stats)[idx]);
     (*ms)[idx] = timer.ElapsedMs();
     std::vector<int32_t>& out = (*ids)[t][s];
     out.reserve(local.ids.size());
@@ -242,9 +237,8 @@ QueryResult PartitionedEngine::RunDecomposed(const QuerySpec& spec,
     UTK_SPAN("dist.tile_refine");
     std::vector<int32_t> pool = UnionPool(shard_ids[t]);
     pool_sizes[t] = static_cast<int64_t>(pool.size());
-    RSkybandResult band =
-        ComputeRSkybandFromPool(base_->data(), std::move(pool), tiles[t],
-                                spec.k, &tile_stats[t], &base_->cols());
+    RSkybandResult band = ComputeRSkybandFromPool(
+        base_->cols(), std::move(pool), tiles[t], spec.k, &tile_stats[t]);
     band_sizes[t] = static_cast<int64_t>(band.ids.size());
     QuerySpec sub = spec;
     sub.region = tiles[t];

@@ -7,9 +7,10 @@
 // one query along two orthogonal axes:
 //
 //   Data sharding (S shards). The dataset is split by a Partitioner
-//   (dist/partition.h); each shard owns a re-indexed copy of its records
-//   and its own R-tree. Filtering runs per shard in parallel, and the
-//   per-shard r-skybands union into a candidate pool. Correctness of the
+//   (dist/partition.h); each shard owns a re-indexed ColumnStore of its
+//   records and its own R-tree, which is all its filter reads. Filtering
+//   runs per shard in parallel, and the per-shard r-skybands union into a
+//   candidate pool. Correctness of the
 //   pool (the competitor-restriction argument the SK/ON baselines and the
 //   serving layer already rely on): for any w in R, every member p of the
 //   top-k under w has fewer than k records of D scoring above it, hence
@@ -100,7 +101,7 @@ class PartitionedEngine final : public QueryEngine {
  public:
   /// Takes ownership of `data`: builds the embedded single engine (full
   /// R-tree, used for fallback algorithms, TopK, and the pool re-filter)
-  /// plus one re-indexed dataset + R-tree per shard.
+  /// plus one re-indexed ColumnStore + R-tree per shard.
   PartitionedEngine(Dataset data, DistConfig config);
 
   /// Shares an existing engine (its dataset backs the shards; the full
@@ -113,8 +114,9 @@ class PartitionedEngine final : public QueryEngine {
   Algorithm Plan(const QuerySpec& spec) const override {
     return base_->Plan(spec);
   }
-  std::optional<std::string> Validate(const QuerySpec& spec) const override {
-    return base_->Validate(spec);
+  std::optional<std::string> Validate(
+      const QuerySpec& spec, Algorithm* planned = nullptr) const override {
+    return base_->Validate(spec, planned);
   }
   QueryResult Run(const QuerySpec& spec) const override;
   QueryResult Run(const QuerySpec& spec,
@@ -151,16 +153,14 @@ class PartitionedEngine final : public QueryEngine {
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
+  /// One data shard. The single-shard configuration leaves all three
+  /// members empty and filters over the base engine's tree and store
+  /// instead of copying them, so a tiles-only run costs no extra memory.
   struct Shard {
-    /// Local record id -> global id; empty means the identity mapping (the
-    /// single-shard case, which aliases the base engine instead of copying).
+    /// Local record id -> global id; empty means the identity mapping.
     std::vector<int32_t> global_ids;
-    Dataset owned_records;  ///< re-indexed copy (multi-shard only)
-    RTree owned_tree;
-    ColumnStore owned_cols;  ///< SoA mirror of owned_records
-    const Dataset* records = nullptr;  ///< -> owned_records or base data
-    const RTree* tree = nullptr;       ///< -> owned_tree or base tree
-    const ColumnStore* cols = nullptr;  ///< -> owned_cols or base cols
+    RTree tree;        ///< over the re-indexed rows
+    ColumnStore cols;  ///< the re-indexed rows: row i = global_ids[i]
 
     int32_t ToGlobal(int32_t local) const {
       return global_ids.empty() ? local : global_ids[local];

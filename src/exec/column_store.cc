@@ -54,6 +54,12 @@ ColumnStore ColumnStore::Borrow(std::vector<const Scalar*> cols, int dim,
   return cs;
 }
 
+Vec ColumnStore::Row(int32_t row) const {
+  Vec attrs(dim_);
+  for (int d = 0; d < dim_; ++d) attrs[d] = at(row, d);
+  return attrs;
+}
+
 void ColumnStore::SetRow(int32_t row, const Vec& attrs) {
   assert(borrowed_.empty() && "borrowed ColumnStore views are read-only");
   if (dim_ == 0) {

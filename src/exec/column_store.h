@@ -89,6 +89,9 @@ class ColumnStore {
     return borrowed_.empty() ? cols_[d].data() : borrowed_[d];
   }
   Scalar at(int32_t row, int d) const { return col(d)[row]; }
+  /// Row `row` gathered into one attribute vector (dimension order), for
+  /// the scalar paths that evaluate a single record.
+  Vec Row(int32_t row) const;
 
   /// Writes `attrs` at `row`, growing the store by exactly one row when
   /// row == size(). First write on an empty store fixes dim(). This is the

@@ -57,12 +57,11 @@ LiveEngine::~LiveEngine() = default;
 // ---------------------------------------------------------------- queries
 
 Snapshot LiveEngine::SnapshotLocked() const {
-  Snapshot snap;
+  Snapshot snap{.cols = cols_};
   snap.op = "live.run";
   snap.data = &data_;
   snap.alive = alive_;
   snap.tree = &tree_;
-  snap.cols = &cols_;
   // Plan against the number of LIVE records, so a live engine and a
   // from-scratch Engine over the compacted catalog choose identically.
   snap.live = live_size();
@@ -78,9 +77,10 @@ Algorithm LiveEngine::Plan(const QuerySpec& spec) const {
   return Decide(SnapshotLocked(), spec).algorithm;
 }
 
-std::optional<std::string> LiveEngine::Validate(const QuerySpec& spec) const {
+std::optional<std::string> LiveEngine::Validate(const QuerySpec& spec,
+                                                Algorithm* planned) const {
   ReaderLock lock(mu_);
-  return utk::Validate(SnapshotLocked(), spec);
+  return utk::Validate(SnapshotLocked(), spec, planned);
 }
 
 QueryResult LiveEngine::Run(const QuerySpec& spec) const {
@@ -107,7 +107,7 @@ PlanNode LiveEngine::Explain(const QuerySpec& spec) const {
 
 std::vector<int32_t> LiveEngine::TopK(const Vec& w, int k) const {
   ReaderLock lock(mu_);
-  return TopKRTree(data_, tree_, w, k, nullptr, &cols_);
+  return TopKRTree(cols_, tree_, w, k);
 }
 
 bool LiveEngine::IsLive(int32_t id) const {

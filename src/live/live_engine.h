@@ -140,7 +140,8 @@ class LiveEngine final : public QueryEngine {
     return cols_;
   }
   Algorithm Plan(const QuerySpec& spec) const override;
-  std::optional<std::string> Validate(const QuerySpec& spec) const override;
+  std::optional<std::string> Validate(
+      const QuerySpec& spec, Algorithm* planned = nullptr) const override;
   QueryResult Run(const QuerySpec& spec) const override;
   /// EXPLAIN: live.run over the planned algorithm's filter/refine subtree;
   /// RSA/JAA plans also name the filter path (band-pool or direct).

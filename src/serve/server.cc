@@ -93,9 +93,11 @@ QueryResult Server::Query(const QuerySpec& spec) {
   };
   // Requests the engine would reject bypass the cache entirely so the
   // diagnostic is identical to Engine::Run's, and failures are never cached.
-  if (engine_->Validate(spec).has_value()) return record(engine_->Run(spec));
+  // A valid spec comes back with its plan from the same decision.
+  Algorithm planned = Algorithm::kAuto;
+  if (engine_->Validate(spec, &planned).has_value())
+    return record(engine_->Run(spec));
 
-  const Algorithm planned = engine_->Plan(spec);
   // The dataset epoch is read *before* the query runs: if an update commits
   // mid-flight, the admit below carries the superseded epoch and the cache
   // refuses it — a racing query can never plant a stale answer.
@@ -141,9 +143,9 @@ PlanNode Server::Explain(const QuerySpec& spec) const {
   PlanNode root;
   root.op = "serve.query";
   PlanNode engine_plan = engine_->Explain(spec);
-  if (engine_->Validate(spec).has_value()) {
+  if (engine_plan.detail.starts_with("invalid: ")) {
     // Invalid specs bypass the cache; the engine tree carries the
-    // diagnostic already.
+    // diagnostic already (QueryEngine::Explain's "invalid: ..." root).
     root.detail = "cache bypass (invalid spec)";
     root.children.push_back(std::move(engine_plan));
     return root;

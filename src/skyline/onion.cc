@@ -61,11 +61,12 @@ bool IsFirstQuadrantHullMember(const Record& p,
 }
 
 std::vector<std::vector<int32_t>> OnionLayers(const Dataset& data,
+                                              const ColumnStore& cols,
                                               const RTree& tree, int k,
                                               QueryStats* stats) {
   UTK_SPAN("filter.onion");
   std::vector<std::vector<int32_t>> layers;
-  std::vector<int32_t> remaining = KSkyband(data, tree, k, stats);
+  std::vector<int32_t> remaining = KSkyband(cols, tree, k, stats);
   for (int layer = 0; layer < k && !remaining.empty(); ++layer) {
     std::vector<const Record*> pool;
     pool.reserve(remaining.size());
@@ -90,9 +91,9 @@ std::vector<std::vector<int32_t>> OnionLayers(const Dataset& data,
   return layers;
 }
 
-OnionIndex::OnionIndex(const Dataset& data, const RTree& tree, int max_k,
-                       QueryStats* stats)
-    : data_(data), layers_(OnionLayers(data, tree, max_k, stats)) {}
+OnionIndex::OnionIndex(const Dataset& data, const ColumnStore& cols,
+                       const RTree& tree, int max_k, QueryStats* stats)
+    : data_(data), layers_(OnionLayers(data, cols, tree, max_k, stats)) {}
 
 std::vector<int32_t> OnionIndex::Query(const Vec& w, int k) const {
   std::vector<std::pair<Scalar, int32_t>> scored;
@@ -120,10 +121,12 @@ int64_t OnionIndex::CandidateCount() const {
   return n;
 }
 
-std::vector<int32_t> OnionCandidates(const Dataset& data, const RTree& tree,
-                                     int k, QueryStats* stats) {
+std::vector<int32_t> OnionCandidates(const Dataset& data,
+                                     const ColumnStore& cols,
+                                     const RTree& tree, int k,
+                                     QueryStats* stats) {
   std::vector<int32_t> out;
-  for (const auto& layer : OnionLayers(data, tree, k, stats))
+  for (const auto& layer : OnionLayers(data, cols, tree, k, stats))
     out.insert(out.end(), layer.begin(), layer.end());
   std::sort(out.begin(), out.end());
   return out;

@@ -17,20 +17,25 @@
 
 #include "common/stats.h"
 #include "common/types.h"
+#include "exec/column_store.h"
 #include "index/rtree.h"
 
 namespace utk {
 
 /// Computes the first `k` onion layers of `data`. layers[i] holds record ids
 /// of layer i+1. Records beyond the k-skyband cannot appear in any of the
-/// first k layers and are never considered.
+/// first k layers and are never considered; the k-skyband is read from
+/// `cols` (the SoA mirror of `data`), the hull LPs from the records.
 std::vector<std::vector<int32_t>> OnionLayers(const Dataset& data,
+                                              const ColumnStore& cols,
                                               const RTree& tree, int k,
                                               QueryStats* stats = nullptr);
 
 /// Convenience: flattens the k layers into one candidate list.
-std::vector<int32_t> OnionCandidates(const Dataset& data, const RTree& tree,
-                                     int k, QueryStats* stats = nullptr);
+std::vector<int32_t> OnionCandidates(const Dataset& data,
+                                     const ColumnStore& cols,
+                                     const RTree& tree, int k,
+                                     QueryStats* stats = nullptr);
 
 /// True iff some w >= 0 (not all zero, normalized to the simplex) gives `p`
 /// a score >= that of every record in `others`. Exposed for testing.
@@ -45,8 +50,8 @@ bool IsFirstQuadrantHullMember(const Record& p,
 class OnionIndex {
  public:
   /// Materializes the first `max_k` layers.
-  OnionIndex(const Dataset& data, const RTree& tree, int max_k,
-             QueryStats* stats = nullptr);
+  OnionIndex(const Dataset& data, const ColumnStore& cols, const RTree& tree,
+             int max_k, QueryStats* stats = nullptr);
 
   /// Top-k query (k <= max_k), best first, id tie-break as in TopK().
   std::vector<int32_t> Query(const Vec& w, int k) const;

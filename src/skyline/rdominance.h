@@ -32,9 +32,8 @@ RDom RDominance(const Record& p, const Record& q, const ConvexRegion& r,
 
 /// Classifies a score-difference range [lo, hi] = range of S(p) - S(q)
 /// over R into the four RDom outcomes. This is the single classification
-/// rule: RDominance() routes through it, and so does the columnar filter
-/// path (exec/kernels.h BoxGapEvaluator), so AoS and SoA execution agree
-/// bit-for-bit.
+/// rule: RDominance() routes through it, and so does the columnar filter's
+/// box path (exec/kernels.h BoxGapEvaluator), so both agree bit-for-bit.
 RDom ClassifyScoreRange(Scalar lo, Scalar hi);
 
 /// True iff the record with attribute vector `p_top` (typically an MBB top

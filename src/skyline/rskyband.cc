@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <optional>
 #include <queue>
 
 #include "exec/kernels.h"
@@ -29,41 +28,36 @@ Scalar CornerScore(const Vec& corner, const Vec& pivot) {
   return Score(tmp, pivot);
 }
 
-// Per-query r-dominance dispatcher: the columnar box fast path when a
-// mirroring ColumnStore is available and R is a box, the generic
-// RDominance / RDominatesCorner otherwise. Both roads produce identical
-// bits (ClassifyScoreRange is shared and BoxGapEvaluator replays
-// DiffScore + RangeOf's arithmetic order).
+// Per-query r-dominance dispatcher over the store: the columnar box fast
+// path when R is a box, otherwise the generic RDominance / RDominatesCorner
+// on rows gathered from the store. Both roads produce identical bits
+// (ClassifyScoreRange is shared and BoxGapEvaluator replays DiffScore +
+// RangeOf's arithmetic order).
 class RDomDispatch {
  public:
-  RDomDispatch(const Dataset& data, const ConvexRegion& r,
-               const ColumnStore* cols, QueryStats* stats)
-      : data_(data), r_(r), stats_(stats) {
-    if (cols != nullptr && !cols->empty()) {
-      gap_.emplace(*cols, r);
-      if (!gap_->valid()) gap_.reset();
-    }
-  }
+  RDomDispatch(const ColumnStore& cols, const ConvexRegion& r,
+               QueryStats* stats)
+      : cols_(cols), r_(r), stats_(stats), gap_(cols, r) {}
 
-  /// RDominance(data[p], data[q], r) == kDominates.
+  /// RDominance(row p, row q, r) == kDominates.
   bool Dominates(int32_t p, int32_t q) const {
-    if (gap_.has_value()) {
+    if (gap_.valid()) {
       if (stats_ != nullptr) ++stats_->rdom_tests;
-      const auto [lo, hi] = gap_->Range(p, q);
+      const auto [lo, hi] = gap_.Range(p, q);
       return ClassifyScoreRange(lo, hi) == RDom::kDominates;
     }
-    return RDominance(data_[p], data_[q], r_, stats_) == RDom::kDominates;
+    return RDominance(Row(p), Row(q), r_, stats_) == RDom::kDominates;
   }
 
-  /// RDominance(pruner, data[q], r) == kDominates (pruners live outside
-  /// `data` — other shards' records — so they address the store by attrs).
+  /// RDominance(pruner, row q, r) == kDominates (pruners live outside the
+  /// store — other shards' records — so they address it by attrs).
   bool PrunerDominates(const Record& pruner, int32_t q) const {
-    if (gap_.has_value()) {
+    if (gap_.valid()) {
       if (stats_ != nullptr) ++stats_->rdom_tests;
-      const auto [lo, hi] = gap_->Range(pruner.attrs, q);
+      const auto [lo, hi] = gap_.Range(pruner.attrs, q);
       return ClassifyScoreRange(lo, hi) == RDom::kDominates;
     }
-    return RDominance(pruner, data_[q], r_, stats_) == RDom::kDominates;
+    return RDominance(pruner, Row(q), r_, stats_) == RDom::kDominates;
   }
 
   /// The member-vs-candidate scan both ComputeRSkyband call sites share:
@@ -76,14 +70,14 @@ class RDomDispatch {
   /// (speculative lanes past the break are computed but never counted).
   bool CollectDominators(const std::vector<int32_t>& members, int32_t q,
                          int cap, std::vector<int>* doms) const {
-    const int width = gap_.has_value() ? SimdWidth() : 1;
+    const int width = gap_.valid() ? SimdWidth() : 1;
     if (width > 1) {
       Scalar lo[8], hi[8];
       assert(width <= 8);
       const size_t n = members.size();
       for (size_t i = 0; i < n; i += width) {
         const size_t m = std::min<size_t>(width, n - i);
-        gap_->RangeBatch({members.data() + i, m}, q, lo, hi);
+        gap_.RangeBatch({members.data() + i, m}, q, lo, hi);
         for (size_t j = 0; j < m; ++j) {
           if (stats_ != nullptr) ++stats_->rdom_tests;
           if (ClassifyScoreRange(lo[j], hi[j]) != RDom::kDominates) continue;
@@ -102,36 +96,43 @@ class RDomDispatch {
     return false;
   }
 
-  /// RDominatesCorner(data[p], corner, r).
+  /// RDominatesCorner(row p, corner, r).
   bool DominatesCorner(int32_t p, const Vec& corner) const {
-    if (gap_.has_value()) {
+    if (gap_.valid()) {
       if (stats_ != nullptr) ++stats_->rdom_tests;
-      const auto [lo, hi] = gap_->Range(p, corner);
+      const auto [lo, hi] = gap_.Range(p, corner);
       return EpsGe(lo, 0.0) && EpsGt(hi, 0.0);
     }
-    return RDominatesCorner(data_[p], corner, r_, stats_);
+    return RDominatesCorner(Row(p), corner, r_, stats_);
   }
 
  private:
-  const Dataset& data_;
+  Record Row(int32_t row) const {
+    Record rec;
+    rec.id = row;
+    rec.attrs = cols_.Row(row);
+    return rec;
+  }
+
+  const ColumnStore& cols_;
   const ConvexRegion& r_;
   QueryStats* stats_;
-  std::optional<BoxGapEvaluator> gap_;
+  BoxGapEvaluator gap_;
 };
 
 }  // namespace
 
-RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
+RSkybandResult ComputeRSkyband(const ColumnStore& cols, const RTree& tree,
                                const ConvexRegion& r, int k,
-                               QueryStats* stats, const ColumnStore* cols) {
+                               QueryStats* stats) {
   static const std::vector<Record> kNoPruners;
-  return ComputeRSkyband(data, tree, r, k, kNoPruners, stats, cols);
+  return ComputeRSkyband(cols, tree, r, k, kNoPruners, stats);
 }
 
-RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
+RSkybandResult ComputeRSkyband(const ColumnStore& cols, const RTree& tree,
                                const ConvexRegion& r, int k,
                                const std::vector<Record>& pruners,
-                               QueryStats* stats, const ColumnStore* cols) {
+                               QueryStats* stats) {
   UTK_SPAN("filter.rskyband");
   RSkybandResult result;
   auto pivot = r.Pivot();
@@ -139,8 +140,7 @@ RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
   result.pivot = *pivot;
   if (tree.empty()) return result;
 
-  const bool soa = cols != nullptr && !cols->empty();
-  RDomDispatch rdom(data, r, cols, stats);
+  RDomDispatch rdom(cols, r, stats);
 
   // Pruners ordered strongest-first at the pivot. Together with the heap
   // key (an entry's pivot score) this admits an exact early break in every
@@ -217,16 +217,10 @@ RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
       }
       if (pruned) continue;
       if (node.is_leaf) {
-        if (soa) {
-          leaf_scores.resize(node.record_ids.size());
-          ScoreBatch(*cols, result.pivot, node.record_ids,
-                     leaf_scores.data());
-          for (size_t i = 0; i < node.record_ids.size(); ++i)
-            heap.push({leaf_scores[i], true, node.record_ids[i]});
-        } else {
-          for (int32_t rid : node.record_ids)
-            heap.push({Score(data[rid], result.pivot), true, rid});
-        }
+        leaf_scores.resize(node.record_ids.size());
+        ScoreBatch(cols, result.pivot, node.record_ids, leaf_scores.data());
+        for (size_t i = 0; i < node.record_ids.size(); ++i)
+          heap.push({leaf_scores[i], true, node.record_ids[i]});
       } else {
         for (int32_t child : node.entries)
           heap.push({CornerScore(tree.node(child).mbb.TopCorner(),
@@ -240,41 +234,31 @@ RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
   return result;
 }
 
-RSkybandResult ComputeRSkybandFromPool(const Dataset& data,
+RSkybandResult ComputeRSkybandFromPool(const ColumnStore& cols,
                                        std::vector<int32_t> pool,
                                        const ConvexRegion& r, int k,
-                                       QueryStats* stats,
-                                       const ColumnStore* cols) {
+                                       QueryStats* stats) {
   UTK_SPAN_VAL("filter.pool", static_cast<int64_t>(pool.size()));
   RSkybandResult result;
   auto pivot = r.Pivot();
   assert(pivot.has_value() && "query region has empty interior");
   result.pivot = *pivot;
 
-  const bool soa = cols != nullptr && !cols->empty();
-  RDomDispatch rdom(data, r, cols, stats);
+  RDomDispatch rdom(cols, r, stats);
 
-  if (soa) {
-    // One batched pass over the pool; the sort then runs on a flat score
-    // array instead of recomputing Score() per comparison.
-    std::vector<Scalar> pool_score(pool.size());
-    ScoreBatch(*cols, result.pivot, pool, pool_score.data());
-    std::vector<int32_t> order(pool.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-      const Scalar sa = pool_score[a], sb = pool_score[b];
-      return sa != sb ? sa > sb : pool[a] < pool[b];
-    });
-    std::vector<int32_t> sorted(pool.size());
-    for (size_t i = 0; i < order.size(); ++i) sorted[i] = pool[order[i]];
-    pool = std::move(sorted);
-  } else {
-    std::sort(pool.begin(), pool.end(), [&](int32_t a, int32_t b) {
-      const Scalar sa = Score(data[a], result.pivot);
-      const Scalar sb = Score(data[b], result.pivot);
-      return sa != sb ? sa > sb : a < b;
-    });
-  }
+  // One batched pass over the pool; the sort then runs on a flat score
+  // array instead of recomputing Score() per comparison.
+  std::vector<Scalar> pool_score(pool.size());
+  ScoreBatch(cols, result.pivot, pool, pool_score.data());
+  std::vector<int32_t> order(pool.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+    const Scalar sa = pool_score[a], sb = pool_score[b];
+    return sa != sb ? sa > sb : pool[a] < pool[b];
+  });
+  std::vector<int32_t> sorted(pool.size());
+  for (size_t i = 0; i < order.size(); ++i) sorted[i] = pool[order[i]];
+  pool = std::move(sorted);
 
   for (int32_t id : pool) {
     std::vector<int> doms;

@@ -14,13 +14,13 @@
 #ifndef UTK_SKYLINE_RSKYBAND_H_
 #define UTK_SKYLINE_RSKYBAND_H_
 
-// Columnar execution: every entry point takes an optional ColumnStore
-// (exec/column_store.h) mirroring `data`. When present — and it is for
-// every engine-owned catalog and shard — leaf scans score through the
-// batched ScoreBatch kernel and box-region r-dominance tests run through
-// the allocation-free BoxGapEvaluator, both bit-for-bit equal to the AoS
-// scalar path (tests/test_exec.cc). cols == nullptr keeps the original
-// AoS loops, which the SoA-vs-AoS ablation benchmark compares against.
+// Columnar execution: every entry point reads the records through a
+// ColumnStore (exec/column_store.h) whose rows are the R-tree's record ids —
+// the filters never touch an AoS Record of the catalog. Leaf scans score
+// through the batched ScoreBatch kernel; box-region r-dominance tests run
+// through the allocation-free BoxGapEvaluator, and any other convex region
+// gathers the two rows it compares and runs the generic RDominance. Both
+// roads are bit-for-bit equal to the scalar definitions (tests/test_exec.cc).
 
 #include <vector>
 
@@ -42,28 +42,26 @@ struct RSkybandResult {
   Vec pivot;
 };
 
-/// Computes the r-skyband of `data` w.r.t. region `r` and parameter `k`.
-/// `cols`, when non-null, must mirror `data` row-for-row (stable ids).
-RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
+/// Computes the r-skyband of the rows `tree` indexes in `cols` w.r.t.
+/// region `r` and parameter `k`.
+RSkybandResult ComputeRSkyband(const ColumnStore& cols, const RTree& tree,
                                const ConvexRegion& r, int k,
-                               QueryStats* stats = nullptr,
-                               const ColumnStore* cols = nullptr);
+                               QueryStats* stats = nullptr);
 
 /// As above, with external `pruners`: records pre-confirmed for pruning
 /// only — r-dominators found among them count toward the k threshold (for
 /// both subtree and record pruning) but pruners are never emitted. The
-/// output is {p in data : #r-dominators of p within data ∪ pruners < k}.
-/// Pruners must not duplicate records of `data` (a duplicate would count
+/// output is {p in tree : #r-dominators of p within tree ∪ pruners < k}.
+/// Pruners must not duplicate records of `tree` (a duplicate would count
 /// itself as its own dominator and over-prune). The partitioned engine
 /// (src/dist/) seeds each shard's filter with globally strong records this
 /// way, restoring global-strength pruning inside every shard.
-RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
+RSkybandResult ComputeRSkyband(const ColumnStore& cols, const RTree& tree,
                                const ConvexRegion& r, int k,
                                const std::vector<Record>& pruners,
-                               QueryStats* stats = nullptr,
-                               const ColumnStore* cols = nullptr);
+                               QueryStats* stats = nullptr);
 
-/// The filtering step over an explicit candidate pool: `pool` record ids act
+/// The filtering step over an explicit candidate pool: `pool` rows act
 /// as both the candidates and the only competitors — no R-tree involved.
 /// When the pool is a superset of every top-k set over `r` (e.g. the union
 /// of per-shard r-skybands, see src/dist/), the output supports exactly the
@@ -73,13 +71,13 @@ RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
 /// decreasing pivot-score order (ties by id), which preserves the
 /// dominators-confirmed-first invariant documented above, so the r-dominance
 /// graph again falls out for free.
-RSkybandResult ComputeRSkybandFromPool(const Dataset& data,
+RSkybandResult ComputeRSkybandFromPool(const ColumnStore& cols,
                                        std::vector<int32_t> pool,
                                        const ConvexRegion& r, int k,
-                                       QueryStats* stats = nullptr,
-                                       const ColumnStore* cols = nullptr);
+                                       QueryStats* stats = nullptr);
 
-/// Brute-force oracle (O(n^2) r-dominance tests), for tests.
+/// Brute-force oracle (O(n^2) scalar r-dominance tests over the AoS
+/// records, no BBS), for tests.
 std::vector<int32_t> RSkybandBruteForce(const Dataset& data,
                                         const ConvexRegion& r, int k);
 

@@ -7,7 +7,6 @@
 #include "exec/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "skyline/dominance.h"
 
 namespace utk {
 
@@ -26,12 +25,11 @@ Scalar SumCoords(const Vec& v) {
 
 }  // namespace
 
-std::vector<int32_t> KSkyband(const Dataset& data, const RTree& tree, int k,
-                              QueryStats* stats, const ColumnStore* cols) {
+std::vector<int32_t> KSkyband(const ColumnStore& cols, const RTree& tree,
+                              int k, QueryStats* stats) {
   UTK_SPAN("filter.skyband");
   std::vector<int32_t> band;
   if (tree.empty()) return band;
-  const bool soa = cols != nullptr && !cols->empty();
 
   std::priority_queue<HeapEntry> heap;
   heap.push({SumCoords(tree.node(tree.root()).mbb.TopCorner()), false,
@@ -41,12 +39,7 @@ std::vector<int32_t> KSkyband(const Dataset& data, const RTree& tree, int k,
       "utk_skyband_membership_probes_total");
   auto dominated_count_reaches_k = [&](const Vec& v) {
     probes.Add();
-    if (soa) return CountDominatorsOfPoint(*cols, band, v, k, kEps) >= k;
-    int count = 0;
-    for (int32_t id : band) {
-      if (Dominates(data[id].attrs, v) && ++count >= k) return true;
-    }
-    return false;
+    return CountDominatorsOfPoint(cols, band, v, k, kEps) >= k;
   };
 
   while (!heap.empty()) {
@@ -54,13 +47,13 @@ std::vector<int32_t> KSkyband(const Dataset& data, const RTree& tree, int k,
     heap.pop();
     if (stats != nullptr) ++stats->heap_pops;
     if (e.is_record) {
-      if (!dominated_count_reaches_k(data[e.id].attrs)) band.push_back(e.id);
+      if (!dominated_count_reaches_k(cols.Row(e.id))) band.push_back(e.id);
     } else {
       const RTreeNode& node = tree.node(e.id);
       if (dominated_count_reaches_k(node.mbb.TopCorner())) continue;
       if (node.is_leaf) {
         for (int32_t rid : node.record_ids)
-          heap.push({SumCoords(data[rid].attrs), true, rid});
+          heap.push({SumCoords(cols.Row(rid)), true, rid});
       } else {
         for (int32_t child : node.entries)
           heap.push({SumCoords(tree.node(child).mbb.TopCorner()), false,

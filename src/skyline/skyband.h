@@ -16,15 +16,12 @@
 
 namespace utk {
 
-/// Computes the k-skyband of `data` using BBS over `tree`.
-/// Returns record ids in the order BBS confirmed them. `cols`, when
-/// non-null, must mirror `data`; the dominated-count probes then run the
-/// batched CountDominatorsOfPoint kernel over the confirmed members
-/// (bit-identical either way). Heap keys stay scalar — SumCoords per
-/// popped entry is not a hot loop.
-std::vector<int32_t> KSkyband(const Dataset& data, const RTree& tree, int k,
-                              QueryStats* stats = nullptr,
-                              const ColumnStore* cols = nullptr);
+/// Computes the k-skyband of the rows `tree` indexes in `cols` using BBS.
+/// Returns record ids in the order BBS confirmed them. The dominated-count
+/// probes run the batched CountDominatorsOfPoint kernel over the confirmed
+/// members; heap keys sum a row's columns in dimension order.
+std::vector<int32_t> KSkyband(const ColumnStore& cols, const RTree& tree,
+                              int k, QueryStats* stats = nullptr);
 
 /// Brute-force k-skyband (O(n^2)), used as a test oracle.
 std::vector<int32_t> KSkybandBruteForce(const Dataset& data, int k);

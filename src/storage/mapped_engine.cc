@@ -63,12 +63,11 @@ const Dataset& MappedEngine::data() const {
 }
 
 Snapshot MappedEngine::snapshot() const {
-  Snapshot snap;
+  Snapshot snap{.cols = cols_};
   snap.op = "mapped.run";
   snap.data = &data_;
   snap.alive = {seg_->alive_bytes(), static_cast<size_t>(seg_->rows())};
   snap.tree = &tree_;
-  snap.cols = &cols_;
   // Plan against the LIVE count, exactly like the engine this segment was
   // saved from would.
   snap.live = seg_->live();
@@ -87,8 +86,8 @@ Algorithm MappedEngine::Plan(const QuerySpec& spec) const {
 }
 
 std::optional<std::string> MappedEngine::Validate(
-    const QuerySpec& spec) const {
-  return utk::Validate(snapshot(), spec);
+    const QuerySpec& spec, Algorithm* planned) const {
+  return utk::Validate(snapshot(), spec, planned);
 }
 
 QueryResult MappedEngine::Run(const QuerySpec& spec) const {
@@ -102,7 +101,7 @@ PlanNode MappedEngine::Explain(const QuerySpec& spec) const {
   // The materialization step ahead of the filter/refine subtree.
   PlanNode mat;
   mat.op = "mapped.materialize";
-  if (UsesBand(d.algorithm) && spec.region.is_box()) {
+  if (UsesBand(d.algorithm)) {
     mat.detail = "band rows on demand";
     mat.est_rows = EstimateBandSize(seg_->live(), spec.k, pref_dim());
   } else {
@@ -115,7 +114,7 @@ PlanNode MappedEngine::Explain(const QuerySpec& spec) const {
 
 std::vector<int32_t> MappedEngine::TopK(const Vec& w, int k) const {
   // Branch-and-bound over MBBs + the borrowed columns; no AoS rows needed.
-  return TopKRTree(data_, tree_, w, k, nullptr, &cols_);
+  return TopKRTree(cols_, tree_, w, k);
 }
 
 }  // namespace utk

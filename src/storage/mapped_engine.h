@@ -5,17 +5,19 @@
 // deserialized R-tree, and the first query runs without materializing the
 // catalog. That works because the whole hot pipeline is SoA:
 //
-//   * filtering (skyline/rskyband.cc) over a box region evaluates
-//     dominance through the BoxGapEvaluator on the borrowed columns and
+//   * filtering (skyline/rskyband.cc) reads only the borrowed columns, for
+//     any region shape — a box through the BoxGapEvaluator, a general
+//     convex region through RDominance on the two rows it compares — and
 //     never dereferences an AoS record;
 //   * RSA/JAA refinement (core/rsa.cc, core/jaa.cc) touches only the band
 //     rows `data[band.ids[...]]` — a few hundred records, gathered lazily
 //     from the mapped columns between filter and refine;
 //   * TopK's branch-and-bound reads MBBs and columns only.
 //
-// AoS records materialize on demand: band rows before refinement, the whole
-// catalog only for paths that genuinely scan it (non-box regions, the
-// SK/ON baselines, the naive oracle, or an external data() call). Rows
+// AoS records materialize on demand: band rows before refinement (they
+// stay AoS because refinement reads records), the whole catalog only for
+// paths that genuinely scan it (the SK/ON baselines' hull LPs and kSPR,
+// the naive oracle, or an external data() call). Rows
 // materialize at most once, under a mutex, and are never rewritten, so
 // concurrent const queries stay race-free (the QueryEngine contract).
 // QueryStats reports the work: rows_materialized counts the gathers a
@@ -64,7 +66,8 @@ class MappedEngine final : public QueryEngine {
   const Dataset& data() const override;
 
   Algorithm Plan(const QuerySpec& spec) const override;
-  std::optional<std::string> Validate(const QuerySpec& spec) const override;
+  std::optional<std::string> Validate(
+      const QuerySpec& spec, Algorithm* planned = nullptr) const override;
   QueryResult Run(const QuerySpec& spec) const override;
   /// EXPLAIN: mapped.run with the materialization step (mapped.materialize)
   /// ahead of the planned algorithm's filter/refine subtree.

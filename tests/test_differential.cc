@@ -8,7 +8,8 @@
 //   Engine == Server warm on a contained sub-region (semantic hit)
 //   Engine == LiveEngine after replaying the same records as inserts
 //   Engine == MappedEngine over a written segment (mmap, lazy rows)
-//   SoA columnar filter/top-k == AoS scalar path (bit-for-bit, per draw)
+//   columnar r-skyband filter == O(n^2) scalar brute force, arcs included
+//   fused top-k scan kernel == R-tree top-k
 //
 // UTK1 answers must be byte-identical. UTK2 answers are compared as the
 // partition they describe — same record union, same distinct top-k set
@@ -22,6 +23,7 @@
 // draw's seed for replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -41,6 +43,7 @@
 #include "obs/history.h"
 #include "obs/trace.h"
 #include "serve/server.h"
+#include "skyline/rdominance.h"
 #include "skyline/rskyband.h"
 #include "storage/mapped_engine.h"
 #include "storage/segment.h"
@@ -78,6 +81,28 @@ void ExpectSameUtk2(const Engine& ref, int k, const QueryResult& want,
     std::sort(topk.begin(), topk.end());
     EXPECT_EQ(topk, cell.topk);
   }
+}
+
+/// The filter's dominator arcs are exactly the pairwise scalar RDominance
+/// relation over its band (each member lists every member that r-dominates
+/// it, in band order).
+void ExpectArcsMatchScalar(const Dataset& data, const RSkybandResult& band,
+                           const ConvexRegion& r) {
+  ASSERT_EQ(band.dominators.size(), band.ids.size());
+  for (size_t i = 0; i < band.ids.size(); ++i) {
+    std::vector<int> want;
+    for (size_t j = 0; j < band.ids.size(); ++j) {
+      if (j != i && RDominance(data[band.ids[j]], data[band.ids[i]], r) ==
+                        RDom::kDominates)
+        want.push_back(static_cast<int>(j));
+    }
+    EXPECT_EQ(band.dominators[i], want) << "member " << band.ids[i];
+  }
+}
+
+std::vector<int32_t> Sorted(std::vector<int32_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 struct Draw {
@@ -135,25 +160,21 @@ TEST(Differential, AllExecutionPathsAgree) {
     ASSERT_TRUE(want.ok) << want.error;
     ASSERT_FALSE(want.ids.empty());
 
-    // --- Columnar data plane vs AoS, same draw ------------------------
-    // The engines above all executed through the SoA ColumnStore path;
-    // pin it against the AoS path explicitly: the r-skyband filter with
-    // and without the store must agree on members AND dominator arcs, and
-    // the fused top-k scan kernel must reproduce the R-tree top-k.
+    // --- Columnar filter vs an oracle outside the BBS, same draw -------
+    // Every engine above filtered through the ColumnStore. Pin that filter
+    // against checks that share none of its code: the members against the
+    // O(n^2) scalar brute force, every dominator arc against pairwise
+    // scalar RDominance over the band (R-tree and pool forms alike), and
+    // the fused top-k scan kernel against the R-tree top-k.
     {
-      RSkybandResult aos = ComputeRSkyband(engine->data(), engine->tree(),
-                                           d.region, d.k);
-      RSkybandResult soa =
-          ComputeRSkyband(engine->data(), engine->tree(), d.region, d.k,
-                          nullptr, &engine->cols());
-      EXPECT_EQ(soa.ids, aos.ids);
-      EXPECT_EQ(soa.dominators, aos.dominators);
-      RSkybandResult aos_pool = ComputeRSkybandFromPool(
-          engine->data(), aos.ids, d.region, d.k);
-      RSkybandResult soa_pool = ComputeRSkybandFromPool(
-          engine->data(), aos.ids, d.region, d.k, nullptr, &engine->cols());
-      EXPECT_EQ(soa_pool.ids, aos_pool.ids);
-      EXPECT_EQ(soa_pool.dominators, aos_pool.dominators);
+      const RSkybandResult band = ComputeRSkyband(
+          engine->cols(), engine->tree(), d.region, d.k);
+      EXPECT_EQ(Sorted(band.ids), RSkybandBruteForce(data, d.region, d.k));
+      ExpectArcsMatchScalar(data, band, d.region);
+      const RSkybandResult pool =
+          ComputeRSkybandFromPool(engine->cols(), band.ids, d.region, d.k);
+      EXPECT_EQ(Sorted(pool.ids), Sorted(band.ids));
+      ExpectArcsMatchScalar(data, pool, d.region);
       const Vec pivot = *d.region.Pivot();
       EXPECT_EQ(TopKScan(engine->cols(), pivot, d.k),
                 engine->TopK(pivot, d.k));
@@ -410,8 +431,8 @@ TEST(Differential, SimdTiersBitIdenticalAcrossEngineDraws) {
     const Vec pivot = *d.region.Pivot();
     const std::vector<int32_t> scalar_topk =
         TopKScan(engine.cols(), pivot, d.k);
-    RSkybandResult scalar_band = ComputeRSkyband(
-        engine.data(), engine.tree(), d.region, d.k, nullptr, &engine.cols());
+    RSkybandResult scalar_band =
+        ComputeRSkyband(engine.cols(), engine.tree(), d.region, d.k);
 
     SetSimdTier(best);
     QueryResult simd = engine.Run(spec);
@@ -433,8 +454,8 @@ TEST(Differential, SimdTiersBitIdenticalAcrossEngineDraws) {
     // Kernel-level spot checks on the same engine: the fused top-k scan
     // and the r-skyband filter (dominator arcs included) per tier.
     EXPECT_EQ(TopKScan(engine.cols(), pivot, d.k), scalar_topk);
-    RSkybandResult simd_band = ComputeRSkyband(
-        engine.data(), engine.tree(), d.region, d.k, nullptr, &engine.cols());
+    RSkybandResult simd_band =
+        ComputeRSkyband(engine.cols(), engine.tree(), d.region, d.k);
     EXPECT_EQ(simd_band.ids, scalar_band.ids);
     EXPECT_EQ(simd_band.dominators, scalar_band.dominators);
 

@@ -154,7 +154,7 @@ TEST(DistFilter, PooledCandidatesAreASupersetOfTheGlobalBand) {
   Engine engine(MakeData(2));
   ConvexRegion region = RegionFor(2);
   RSkybandResult global =
-      ComputeRSkyband(engine.data(), engine.tree(), region, 4);
+      ComputeRSkyband(engine.cols(), engine.tree(), region, 4);
 
   for (Partitioner p : {Partitioner::kRoundRobin, Partitioner::kSpatial}) {
     DistConfig config;
@@ -206,7 +206,8 @@ TEST(DistFilter, SeededFilterMatchesBruteForceMembership) {
   std::vector<Record> pruners(pool_odd.begin(), pool_odd.begin() + 10);
 
   RTree tree = RTree::BulkLoad(shard);
-  RSkybandResult band = ComputeRSkyband(shard, tree, region, k, pruners);
+  const ColumnStore cols(shard);
+  RSkybandResult band = ComputeRSkyband(cols, tree, region, k, pruners);
   std::set<int32_t> members(band.ids.begin(), band.ids.end());
 
   for (const Record& p : shard) {
@@ -229,13 +230,13 @@ TEST(DistFilter, PoolRefilterEqualsGlobalBandMembership) {
   Engine engine(MakeData(0));
   ConvexRegion region = RegionFor(2);
   RSkybandResult global =
-      ComputeRSkyband(engine.data(), engine.tree(), region, 3);
+      ComputeRSkyband(engine.cols(), engine.tree(), region, 3);
   DistConfig config;
   config.shards = 3;
   PartitionedEngine dist(MakeData(0), config);
   std::vector<int32_t> pool = dist.FilterPool(region, 3);
   RSkybandResult band =
-      ComputeRSkybandFromPool(engine.data(), pool, region, 3);
+      ComputeRSkybandFromPool(engine.cols(), pool, region, 3);
   std::vector<int32_t> got = band.ids, want = global.ids;
   std::sort(got.begin(), got.end());
   std::sort(want.begin(), want.end());

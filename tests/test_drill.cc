@@ -40,7 +40,7 @@ class GraphTopKTest : public ::testing::Test {
     data_ = Generate(Distribution::kAnticorrelated, 600, 3, 91);
     tree_ = RTree::BulkLoad(data_);
     region_ = ConvexRegion::FromBox({0.2, 0.25}, {0.4, 0.45});
-    band_ = ComputeRSkyband(data_, tree_, region_, 8);
+    band_ = ComputeRSkyband(ColumnStore(data_), tree_, region_, 8);
     graph_ = std::make_unique<RDominanceGraph>(RDominanceGraph::Build(band_));
   }
 

@@ -12,6 +12,7 @@
 #include "data/generator.h"
 #include "data/realistic.h"
 #include "index/rtree.h"
+#include "run_utk.h"
 
 namespace utk {
 namespace {
@@ -93,8 +94,7 @@ TEST(ReverseTopK, AgreesWithUtkMembership) {
   Dataset data = Generate(Distribution::kIndependent, 100, 3, 9);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.35, 0.3});
   const int k = 3;
-  RTree tree = RTree::BulkLoad(data);
-  auto utk1 = Rsa().Run(data, tree, region, k);
+  auto utk1 = RunRsa(data, region, k);
   std::set<int32_t> member(utk1.ids.begin(), utk1.ids.end());
   for (int32_t p = 0; p < 20; ++p) {
     KsprResult r = MonochromaticReverseTopK(data, p, region, k);
@@ -141,9 +141,8 @@ TEST(PowerTransform, UtkOnTransformedDataIsExact) {
   // Section 6: UTK with S = sum w_i x_i^1.5 == UTK over transformed data.
   Dataset data = Generate(Distribution::kIndependent, 80, 3, 12);
   Dataset powered = ApplyPowerTransform(data, 1.5);
-  RTree tree = RTree::BulkLoad(powered);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.25}, {0.35, 0.4});
-  auto got = Rsa().Run(powered, tree, region, 3).ids;
+  auto got = RunRsa(powered, region, 3).ids;
   EXPECT_EQ(got, NaiveUtk1(powered, region, 3));
 }
 
@@ -151,8 +150,7 @@ TEST(Robustness, FractionsInRangeAndSorted) {
   Dataset data = Generate(Distribution::kAnticorrelated, 400, 3, 14);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.25}, {0.4, 0.45});
   const int k = 3;
-  RTree tree = RTree::BulkLoad(data);
-  auto utk1 = Rsa().Run(data, tree, region, k).ids;
+  auto utk1 = RunRsa(data, region, k).ids;
   auto scores = RobustnessScores(data, region, k, utk1, 300, 7);
   ASSERT_EQ(scores.size(), utk1.size());
   for (size_t i = 0; i < scores.size(); ++i) {
@@ -175,8 +173,7 @@ TEST(Robustness, AlwaysWinnerScoresOne) {
   super.attrs = {2.0, 2.0, 2.0};  // dominates all of [0,1]^3
   data.push_back(super);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
-  RTree tree = RTree::BulkLoad(data);
-  auto utk1 = Rsa().Run(data, tree, region, 2).ids;
+  auto utk1 = RunRsa(data, region, 2).ids;
   auto scores = RobustnessScores(data, region, 2, utk1, 200, 8);
   ASSERT_FALSE(scores.empty());
   bool found = false;

@@ -76,7 +76,8 @@ TEST(Generator, SkybandSizeOrdering) {
         Distribution::kAnticorrelated}) {
     Dataset data = Generate(dist, n, dim, 21);
     RTree tree = RTree::BulkLoad(data);
-    sizes[idx++] = KSkyband(data, tree, k).size();
+    const ColumnStore cols(data);
+    sizes[idx++] = KSkyband(cols, tree, k).size();
   }
   EXPECT_LT(sizes[0], sizes[1]);
   EXPECT_LT(sizes[1], sizes[2]);

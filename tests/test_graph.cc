@@ -57,8 +57,9 @@ TEST(Graph, DomCountWithIgnoreAndRemoval) {
 TEST(Graph, AncestorsMatchReachabilityOnRealBand) {
   Dataset data = Generate(Distribution::kAnticorrelated, 400, 3, 61);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.25}, {0.4, 0.4});
-  RSkybandResult band = ComputeRSkyband(data, tree, region, 4);
+  RSkybandResult band = ComputeRSkyband(cols, tree, region, 4);
   RDominanceGraph g = RDominanceGraph::Build(band);
 
   // Reachability via parents must equal the ancestor bitsets.
@@ -80,9 +81,10 @@ TEST(Graph, AncestorsMatchReachabilityOnRealBand) {
 TEST(Graph, AncestorsAreActualRDominators) {
   Dataset data = Generate(Distribution::kIndependent, 300, 4, 62);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   ConvexRegion region = ConvexRegion::FromBox({0.1, 0.12, 0.14},
                                               {0.22, 0.24, 0.26});
-  RSkybandResult band = ComputeRSkyband(data, tree, region, 3);
+  RSkybandResult band = ComputeRSkyband(cols, tree, region, 3);
   RDominanceGraph g = RDominanceGraph::Build(band);
   for (int i = 0; i < g.size(); ++i) {
     g.Ancestors(i).ForEach([&](int a) {
@@ -96,8 +98,9 @@ TEST(Graph, AncestorsAreActualRDominators) {
 TEST(Graph, DagNoSelfOrForwardArcs) {
   Dataset data = Generate(Distribution::kAnticorrelated, 500, 3, 63);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   ConvexRegion region = ConvexRegion::FromBox({0.3, 0.3}, {0.45, 0.42});
-  RSkybandResult band = ComputeRSkyband(data, tree, region, 5);
+  RSkybandResult band = ComputeRSkyband(cols, tree, region, 5);
   RDominanceGraph g = RDominanceGraph::Build(band);
   for (int i = 0; i < g.size(); ++i) {
     EXPECT_FALSE(g.Ancestors(i).Test(i));

@@ -97,7 +97,8 @@ TEST(Hull2d, AgreesWithLpOnionFirstLayer2d) {
   for (uint64_t seed : {21u, 22u, 23u}) {
     Dataset data = Generate(Distribution::kIndependent, 200, 2, seed);
     RTree tree = RTree::BulkLoad(data);
-    auto layers = OnionLayers(data, tree, 1);
+    const ColumnStore cols(data);
+    auto layers = OnionLayers(data, cols, tree, 1);
     ASSERT_EQ(layers.size(), 1u);
     std::vector<int32_t> lp_layer = layers[0];
     std::vector<int32_t> hull_chain = FirstQuadrantHull2D(data);

@@ -149,15 +149,16 @@ class FigureThreeTest : public ::testing::Test {
 };
 
 TEST_F(FigureThreeTest, TwoSkybandIsP1ToP8) {
-  std::vector<int32_t> band = KSkyband(engine_.data(), engine_.tree(), 2);
+  std::vector<int32_t> band = KSkyband(engine_.cols(), engine_.tree(), 2);
   std::sort(band.begin(), band.end());
   EXPECT_EQ(band, (std::vector<int32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST_F(FigureThreeTest, OnionLayersSubsetOfSkyband) {
   QueryStats stats;
-  auto cands = OnionCandidates(engine_.data(), engine_.tree(), 2, &stats);
-  std::vector<int32_t> band = KSkyband(engine_.data(), engine_.tree(), 2);
+  auto cands = OnionCandidates(engine_.data(), engine_.cols(), engine_.tree(),
+                               2, &stats);
+  std::vector<int32_t> band = KSkyband(engine_.cols(), engine_.tree(), 2);
   std::sort(band.begin(), band.end());
   for (int32_t id : cands)
     EXPECT_TRUE(std::find(band.begin(), band.end(), id) != band.end());

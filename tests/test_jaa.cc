@@ -11,6 +11,7 @@
 #include "data/generator.h"
 #include "data/workload.h"
 #include "index/rtree.h"
+#include "run_utk.h"
 
 namespace utk {
 namespace {
@@ -38,11 +39,10 @@ class JaaSweepTest
 TEST_P(JaaSweepTest, CellsMatchPointwiseTopk) {
   const auto [dist, n, dim, k, sigma, seed] = GetParam();
   Dataset data = Generate(dist, n, dim, seed);
-  RTree tree = RTree::BulkLoad(data);
   Rng rng(seed + 500);
   ConvexRegion region = RandomQueryBox(dim - 1, sigma, rng);
 
-  Utk2Result r = Jaa().Run(data, tree, region, k);
+  Utk2Result r = RunJaa(data, region, k);
   ASSERT_FALSE(r.cells.empty());
 
   int checked = 0;
@@ -68,11 +68,10 @@ TEST_P(JaaSweepTest, CellsMatchPointwiseTopk) {
 TEST_P(JaaSweepTest, UnionEqualsUtk1) {
   const auto [dist, n, dim, k, sigma, seed] = GetParam();
   Dataset data = Generate(dist, n, dim, seed);
-  RTree tree = RTree::BulkLoad(data);
   Rng rng(seed + 501);
   ConvexRegion region = RandomQueryBox(dim - 1, sigma, rng);
-  Utk2Result two = Jaa().Run(data, tree, region, k);
-  Utk1Result one = Rsa().Run(data, tree, region, k);
+  Utk2Result two = RunJaa(data, region, k);
+  Utk1Result one = RunRsa(data, region, k);
   EXPECT_EQ(two.AllRecords(), one.ids);
 }
 
@@ -90,10 +89,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Jaa, WitnessTopkConsistent) {
   // Each cell's witness point must reproduce the cell's own top-k label.
   Dataset data = Generate(Distribution::kAnticorrelated, 800, 3, 21);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.25, 0.3}, {0.4, 0.45});
   const int k = 4;
-  Utk2Result r = Jaa().Run(data, tree, region, k);
+  Utk2Result r = RunJaa(data, region, k);
   for (const Utk2Cell& cell : r.cells) {
     std::vector<int32_t> expect = TopK(data, cell.witness, k);
     std::sort(expect.begin(), expect.end());
@@ -103,9 +101,8 @@ TEST(Jaa, WitnessTopkConsistent) {
 
 TEST(Jaa, CellsWithinRegion) {
   Dataset data = Generate(Distribution::kIndependent, 400, 3, 22);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.15}, {0.35, 0.3});
-  Utk2Result r = Jaa().Run(data, tree, region, 3);
+  Utk2Result r = RunJaa(data, region, 3);
   for (const Utk2Cell& cell : r.cells) {
     EXPECT_TRUE(region.Contains(cell.witness, 1e-7));
   }
@@ -114,9 +111,8 @@ TEST(Jaa, CellsWithinRegion) {
 TEST(Jaa, CellsInteriorDisjoint) {
   // No cell's witness lies strictly inside another cell.
   Dataset data = Generate(Distribution::kIndependent, 500, 3, 23);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.4, 0.35});
-  Utk2Result r = Jaa().Run(data, tree, region, 3);
+  Utk2Result r = RunJaa(data, region, 3);
   for (size_t i = 0; i < r.cells.size(); ++i) {
     for (size_t j = 0; j < r.cells.size(); ++j) {
       if (i == j) continue;
@@ -135,30 +131,27 @@ TEST(Jaa, CellsInteriorDisjoint) {
 
 TEST(Jaa, KOneSingleRecordPerCell) {
   Dataset data = Generate(Distribution::kAnticorrelated, 600, 3, 24);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.25}, {0.45, 0.4});
-  Utk2Result r = Jaa().Run(data, tree, region, 1);
+  Utk2Result r = RunJaa(data, region, 1);
   ASSERT_FALSE(r.cells.empty());
   for (const Utk2Cell& cell : r.cells) EXPECT_EQ(cell.topk.size(), 1u);
 }
 
 TEST(Jaa, KLargerThanDatasetSingleCell) {
   Dataset data = Generate(Distribution::kIndependent, 5, 3, 25);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
-  Utk2Result r = Jaa().Run(data, tree, region, 9);
+  Utk2Result r = RunJaa(data, region, 9);
   ASSERT_EQ(r.cells.size(), 1u);
   EXPECT_EQ(r.cells[0].topk.size(), 5u);
 }
 
 TEST(Jaa, Lemma1OffStillCorrect) {
   Dataset data = Generate(Distribution::kIndependent, 300, 3, 26);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.15, 0.2}, {0.3, 0.35});
-  Utk2Result fast = Jaa().Run(data, tree, region, 3);
-  Jaa::Options off;
+  Utk2Result fast = RunJaa(data, region, 3);
+  QuerySpec off;
   off.use_lemma1 = false;
-  Utk2Result slow = Jaa(off).Run(data, tree, region, 3);
+  Utk2Result slow = RunJaa(data, region, 3, off);
   // Cell decompositions may differ, but the distinct top-k sets must match.
   std::set<std::vector<int32_t>> a, b;
   for (const auto& c : fast.cells) a.insert(c.topk);
@@ -168,9 +161,8 @@ TEST(Jaa, Lemma1OffStillCorrect) {
 
 TEST(Jaa, DistinctTopkSetsCountsDeduplicated) {
   Dataset data = Generate(Distribution::kIndependent, 300, 3, 27);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.35, 0.3});
-  Utk2Result r = Jaa().Run(data, tree, region, 2);
+  Utk2Result r = RunJaa(data, region, 2);
   EXPECT_LE(r.NumDistinctTopkSets(), static_cast<int64_t>(r.cells.size()));
   EXPECT_GE(r.NumDistinctTopkSets(), 1);
 }
@@ -179,11 +171,10 @@ TEST(Jaa, OneDimensionalCellsTileRegionExactly) {
   // d=2: cells are intervals of the 1D preference domain; they must tile R
   // with matching endpoints — an exact (not sampled) coverage check.
   Dataset data = Generate(Distribution::kAnticorrelated, 500, 2, 29);
-  RTree tree = RTree::BulkLoad(data);
   const Scalar lo = 0.2, hi = 0.7;
   ConvexRegion region = ConvexRegion::FromBox({lo}, {hi});
   const int k = 4;
-  Utk2Result r = Jaa().Run(data, tree, region, k);
+  Utk2Result r = RunJaa(data, region, k);
   ASSERT_FALSE(r.cells.empty());
   std::vector<std::pair<Scalar, Scalar>> intervals;
   for (const Utk2Cell& cell : r.cells) {
@@ -229,9 +220,8 @@ TEST(Jaa, OneDimensionalCellsTileRegionExactly) {
 
 TEST(Jaa, StatsPopulated) {
   Dataset data = Generate(Distribution::kIndependent, 400, 3, 28);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.35, 0.3});
-  Utk2Result r = Jaa().Run(data, tree, region, 3);
+  Utk2Result r = RunJaa(data, region, 3);
   EXPECT_GT(r.stats.candidates, 0);
   EXPECT_GT(r.stats.cells_created, 0);
   EXPECT_GT(r.stats.elapsed_ms, 0.0);

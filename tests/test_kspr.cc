@@ -45,7 +45,8 @@ TEST(Kspr, EarlyExitLeavesCellsEmpty) {
   Dataset data = Generate(Distribution::kIndependent, 60, 3, 41);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
   RTree tree = RTree::BulkLoad(data);
-  std::vector<int32_t> cands = KSkyband(data, tree, 2);
+  const ColumnStore cols(data);
+  std::vector<int32_t> cands = KSkyband(cols, tree, 2);
   for (int32_t p : cands) {
     KsprResult r = Kspr(data, p, cands, region, 2, /*early_exit=*/true);
     EXPECT_TRUE(r.topk_cells.empty());
@@ -57,7 +58,8 @@ TEST(Kspr, KOneIsTopOneRegions) {
   Dataset data = Generate(Distribution::kAnticorrelated, 80, 3, 42);
   ConvexRegion region = ConvexRegion::FromBox({0.25, 0.3}, {0.4, 0.45});
   RTree tree = RTree::BulkLoad(data);
-  std::vector<int32_t> cands = KSkyband(data, tree, 1);
+  const ColumnStore cols(data);
+  std::vector<int32_t> cands = KSkyband(cols, tree, 1);
   for (int32_t p : cands) {
     EXPECT_EQ(Kspr(data, p, cands, region, 1, true).qualifies,
               NaiveUtk1Member(data, p, region, 1))
@@ -80,7 +82,8 @@ TEST(Kspr, CellsDisjointInteriors) {
   Dataset data = Generate(Distribution::kIndependent, 50, 3, 43);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.35, 0.3});
   RTree tree = RTree::BulkLoad(data);
-  std::vector<int32_t> cands = KSkyband(data, tree, 3);
+  const ColumnStore cols(data);
+  std::vector<int32_t> cands = KSkyband(cols, tree, 3);
   ASSERT_FALSE(cands.empty());
   KsprResult r = Kspr(data, cands[0], cands, region, 3, false);
   for (size_t i = 0; i < r.topk_cells.size(); ++i) {
@@ -103,7 +106,8 @@ TEST(Kspr, StatsAccumulate) {
   Dataset data = Generate(Distribution::kIndependent, 40, 3, 44);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
   RTree tree = RTree::BulkLoad(data);
-  std::vector<int32_t> cands = KSkyband(data, tree, 2);
+  const ColumnStore cols(data);
+  std::vector<int32_t> cands = KSkyband(cols, tree, 2);
   QueryStats stats;
   Kspr(data, cands[0], cands, region, 2, false, &stats);
   EXPECT_GT(stats.halfspaces_inserted, 0);

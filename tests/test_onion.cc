@@ -17,7 +17,8 @@ namespace {
 TEST(Onion, FirstLayerContainsEveryTop1) {
   Dataset data = Generate(Distribution::kIndependent, 300, 3, 71);
   RTree tree = RTree::BulkLoad(data);
-  auto layers = OnionLayers(data, tree, 1);
+  const ColumnStore cols(data);
+  auto layers = OnionLayers(data, cols, tree, 1);
   ASSERT_EQ(layers.size(), 1u);
   std::set<int32_t> layer1(layers[0].begin(), layers[0].end());
   Rng rng(7);
@@ -33,8 +34,9 @@ TEST(Onion, LayersContainEveryTopK) {
   // The first k layers are a superset of every possible top-k set.
   Dataset data = Generate(Distribution::kAnticorrelated, 200, 3, 72);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   const int k = 3;
-  std::vector<int32_t> cands = OnionCandidates(data, tree, k);
+  std::vector<int32_t> cands = OnionCandidates(data, cols, tree, k);
   std::set<int32_t> cand_set(cands.begin(), cands.end());
   Rng rng(8);
   for (int t = 0; t < 50; ++t) {
@@ -48,9 +50,10 @@ TEST(Onion, LayersContainEveryTopK) {
 TEST(Onion, LayersAreDisjointAndSubsetOfSkyband) {
   Dataset data = Generate(Distribution::kIndependent, 400, 4, 73);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   const int k = 4;
-  auto layers = OnionLayers(data, tree, k);
-  std::vector<int32_t> sky = KSkyband(data, tree, k);
+  auto layers = OnionLayers(data, cols, tree, k);
+  std::vector<int32_t> sky = KSkyband(cols, tree, k);
   std::set<int32_t> sky_set(sky.begin(), sky.end());
   std::set<int32_t> seen;
   for (const auto& layer : layers) {
@@ -85,7 +88,8 @@ TEST(Onion, HullMemberTestSimpleTriangle) {
 TEST(Onion, DominatedRecordNeverInFirstLayer) {
   Dataset data = Generate(Distribution::kCorrelated, 150, 3, 74);
   RTree tree = RTree::BulkLoad(data);
-  auto layers = OnionLayers(data, tree, 2);
+  const ColumnStore cols(data);
+  auto layers = OnionLayers(data, cols, tree, 2);
   ASSERT_GE(layers.size(), 1u);
   std::set<int32_t> layer1(layers[0].begin(), layers[0].end());
   for (const Record& p : data) {
@@ -108,7 +112,8 @@ TEST_P(OnionIndexParamTest, QueriesMatchFullScan) {
   const auto [dist, max_k] = GetParam();
   Dataset data = Generate(dist, 400, 3, 75);
   RTree tree = RTree::BulkLoad(data);
-  OnionIndex index(data, tree, max_k);
+  const ColumnStore cols(data);
+  OnionIndex index(data, cols, tree, max_k);
   Rng rng(76);
   for (int t = 0; t < 30; ++t) {
     Scalar w1 = rng.Uniform(0.0, 1.0), w2 = rng.Uniform(0.0, 1.0 - w1);
@@ -130,7 +135,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(OnionIndex, CandidateCountMuchSmallerThanDataset) {
   Dataset data = Generate(Distribution::kCorrelated, 3000, 3, 77);
   RTree tree = RTree::BulkLoad(data);
-  OnionIndex index(data, tree, 3);
+  const ColumnStore cols(data);
+  OnionIndex index(data, cols, tree, 3);
   EXPECT_LT(index.CandidateCount(), 300);
   EXPECT_GE(index.max_k(), 1);
 }
@@ -139,9 +145,10 @@ TEST(Onion, OnionNeverLargerThanSkyband) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     Dataset data = Generate(Distribution::kAnticorrelated, 250, 3, seed);
     RTree tree = RTree::BulkLoad(data);
+    const ColumnStore cols(data);
     for (int k : {1, 2, 5}) {
-      EXPECT_LE(OnionCandidates(data, tree, k).size(),
-                KSkyband(data, tree, k).size());
+      EXPECT_LE(OnionCandidates(data, cols, tree, k).size(),
+                KSkyband(cols, tree, k).size());
     }
   }
 }

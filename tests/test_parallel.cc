@@ -11,6 +11,7 @@
 #include "data/generator.h"
 #include "data/workload.h"
 #include "index/rtree.h"
+#include "run_utk.h"
 
 namespace utk {
 namespace {
@@ -44,14 +45,13 @@ TEST(Parallel, ConcurrentUtkQueriesMatchSerial) {
   // The library has no global mutable state (LP counters are thread_local):
   // concurrent queries must produce identical results to serial ones.
   Dataset data = Generate(Distribution::kIndependent, 400, 3, 77);
-  RTree tree = RTree::BulkLoad(data);
   auto queries = QueryBatch(2, 0.08, 8, 123);
   std::vector<std::vector<int32_t>> serial(queries.size());
   for (size_t i = 0; i < queries.size(); ++i)
-    serial[i] = Rsa().Run(data, tree, queries[i], 4).ids;
+    serial[i] = RunRsa(data, queries[i], 4).ids;
   std::vector<std::vector<int32_t>> parallel(queries.size());
   ParallelFor(static_cast<int>(queries.size()), 4, [&](int i) {
-    parallel[i] = Rsa().Run(data, tree, queries[i], 4).ids;
+    parallel[i] = RunRsa(data, queries[i], 4).ids;
   });
   EXPECT_EQ(parallel, serial);
 }

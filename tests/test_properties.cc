@@ -18,6 +18,7 @@
 #include "skyline/onion.h"
 #include "skyline/rskyband.h"
 #include "skyline/skyband.h"
+#include "run_utk.h"
 
 namespace utk {
 namespace {
@@ -30,13 +31,14 @@ TEST_P(ContainmentChainTest, Holds) {
   const auto [dist, k, seed] = GetParam();
   Dataset data = Generate(dist, 700, 3, seed);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   Rng rng(seed + 1);
   ConvexRegion region = RandomQueryBox(2, 0.1, rng);
 
-  Utk1Result utk1 = Rsa().Run(data, tree, region, k);
-  RSkybandResult rband = ComputeRSkyband(data, tree, region, k);
-  std::vector<int32_t> kband = KSkyband(data, tree, k);
-  std::vector<int32_t> onion = OnionCandidates(data, tree, k);
+  Utk1Result utk1 = RunRsa(data, region, k);
+  RSkybandResult rband = ComputeRSkyband(cols, tree, region, k);
+  std::vector<int32_t> kband = KSkyband(cols, tree, k);
+  std::vector<int32_t> onion = OnionCandidates(data, cols, tree, k);
 
   std::set<int32_t> rset(rband.ids.begin(), rband.ids.end());
   std::set<int32_t> kset(kband.begin(), kband.end());
@@ -61,15 +63,16 @@ TEST(Properties, FourWayUtk1Agreement) {
   for (uint64_t seed : {101u, 102u, 103u}) {
     Dataset data = Generate(Distribution::kIndependent, 90, 3, seed);
     RTree tree = RTree::BulkLoad(data);
+    const ColumnStore cols(data);
     Rng rng(seed);
     ConvexRegion region = RandomQueryBox(2, 0.12, rng);
     const int k = 3;
-    auto rsa = Rsa().Run(data, tree, region, k).ids;
+    auto rsa = RunRsa(data, region, k).ids;
     EXPECT_EQ(rsa, Baseline(BaselineFilter::kSkyband)
-                       .RunUtk1(data, tree, region, k)
+                       .RunUtk1(data, cols, tree, region, k)
                        .ids);
     EXPECT_EQ(rsa, Baseline(BaselineFilter::kOnion)
-                       .RunUtk1(data, tree, region, k)
+                       .RunUtk1(data, cols, tree, region, k)
                        .ids);
     EXPECT_EQ(rsa, NaiveUtk1(data, region, k));
   }
@@ -77,22 +80,20 @@ TEST(Properties, FourWayUtk1Agreement) {
 
 TEST(Properties, LargerRegionGrowsUtk1) {
   Dataset data = Generate(Distribution::kAnticorrelated, 600, 3, 44);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion small = ConvexRegion::FromBox({0.25, 0.25}, {0.3, 0.3});
   ConvexRegion big = ConvexRegion::FromBox({0.2, 0.2}, {0.4, 0.4});
   const int k = 3;
-  auto s = Rsa().Run(data, tree, small, k).ids;
-  auto b = Rsa().Run(data, tree, big, k).ids;
+  auto s = RunRsa(data, small, k).ids;
+  auto b = RunRsa(data, big, k).ids;
   EXPECT_TRUE(std::includes(b.begin(), b.end(), s.begin(), s.end()));
 }
 
 TEST(Properties, LargerKGrowsUtk1) {
   Dataset data = Generate(Distribution::kIndependent, 600, 3, 45);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.35, 0.3});
   std::vector<int32_t> prev;
   for (int k = 1; k <= 5; ++k) {
-    auto ids = Rsa().Run(data, tree, region, k).ids;
+    auto ids = RunRsa(data, region, k).ids;
     EXPECT_TRUE(std::includes(ids.begin(), ids.end(), prev.begin(),
                               prev.end()))
         << "UTK1 not monotone at k=" << k;
@@ -109,24 +110,21 @@ TEST(Properties, GeneralizedScoringViaTransform) {
   Dataset squared = data;
   for (Record& r : squared)
     for (Scalar& v : r.attrs) v = v * v;
-  RTree tree = RTree::BulkLoad(squared);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
   const int k = 3;
-  auto got = Rsa().Run(squared, tree, region, k).ids;
+  auto got = RunRsa(squared, region, k).ids;
   EXPECT_EQ(got, NaiveUtk1(squared, region, k));
   // Sanity: the squared ranking differs from the linear one somewhere, so
   // the test is not vacuous.
-  RTree tree_lin = RTree::BulkLoad(data);
-  auto lin = Rsa().Run(data, tree_lin, region, k).ids;
+  auto lin = RunRsa(data, region, k).ids;
   (void)lin;  // both valid; no containment implied
 }
 
 TEST(Properties, ExtremeWeightsCornerRegions) {
   Dataset data = Generate(Distribution::kIndependent, 300, 3, 47);
-  RTree tree = RTree::BulkLoad(data);
   // Region hugging the w1 axis: essentially ranks by attribute 1.
   ConvexRegion region = ConvexRegion::FromBox({0.9, 0.001}, {0.98, 0.015});
-  auto ids = Rsa().Run(data, tree, region, 1).ids;
+  auto ids = RunRsa(data, region, 1).ids;
   EXPECT_EQ(ids, NaiveUtk1(data, region, 1));
   // The attribute-1 maximum must be in the result.
   int32_t best = 0;
@@ -138,32 +136,29 @@ TEST(Properties, ExtremeWeightsCornerRegions) {
 TEST(Properties, TwoDimensionalDegenerateCase) {
   // d=2: the preference domain is 1-dimensional (Section 3.2).
   Dataset data = Generate(Distribution::kAnticorrelated, 300, 2, 48);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.3}, {0.5});
   const int k = 3;
-  auto ids = Rsa().Run(data, tree, region, k).ids;
+  auto ids = RunRsa(data, region, k).ids;
   EXPECT_EQ(ids, NaiveUtk1(data, region, k));
-  Utk2Result r2 = Jaa().Run(data, tree, region, k);
+  Utk2Result r2 = RunJaa(data, region, k);
   EXPECT_EQ(r2.AllRecords(), ids);
 }
 
 TEST(Properties, SixDimensionalSmoke) {
   Dataset data = Generate(Distribution::kIndependent, 150, 6, 49);
-  RTree tree = RTree::BulkLoad(data);
   Rng rng(50);
   ConvexRegion region = RandomQueryBox(5, 0.05, rng);
   const int k = 2;
-  auto ids = Rsa().Run(data, tree, region, k).ids;
+  auto ids = RunRsa(data, region, k).ids;
   EXPECT_EQ(ids, NaiveUtk1(data, region, k));
   EXPECT_GE(ids.size(), static_cast<size_t>(k));
 }
 
 TEST(Properties, JaaDeterministicAcrossRuns) {
   Dataset data = Generate(Distribution::kIndependent, 300, 3, 51);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.35, 0.32});
-  Utk2Result a = Jaa().Run(data, tree, region, 3);
-  Utk2Result b = Jaa().Run(data, tree, region, 3);
+  Utk2Result a = RunJaa(data, region, 3);
+  Utk2Result b = RunJaa(data, region, 3);
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (size_t i = 0; i < a.cells.size(); ++i)
     EXPECT_EQ(a.cells[i].topk, b.cells[i].topk);
@@ -173,19 +168,18 @@ TEST(Properties, BoxAndGeneralRegionPathsAgreeEndToEnd) {
   // Same geometry expressed as a fast-path box vs raw constraints must give
   // identical UTK results (closed-form vs LP r-dominance, pivot choices).
   Dataset data = Generate(Distribution::kAnticorrelated, 350, 3, 406);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion box = ConvexRegion::FromBox({0.22, 0.31}, {0.36, 0.44});
   ConvexRegion general(box.constraints());
   ASSERT_TRUE(box.is_box());
   ASSERT_FALSE(general.is_box());
   for (int k : {1, 3, 6}) {
-    EXPECT_EQ(Rsa().Run(data, tree, box, k).ids,
-              Rsa().Run(data, tree, general, k).ids)
+    EXPECT_EQ(RunRsa(data, box, k).ids,
+              RunRsa(data, general, k).ids)
         << "k=" << k;
   }
   std::set<std::vector<int32_t>> a, b;
-  for (const auto& c : Jaa().Run(data, tree, box, 3).cells) a.insert(c.topk);
-  for (const auto& c : Jaa().Run(data, tree, general, 3).cells)
+  for (const auto& c : RunJaa(data, box, 3).cells) a.insert(c.topk);
+  for (const auto& c : RunJaa(data, general, 3).cells)
     b.insert(c.topk);
   EXPECT_EQ(a, b);
 }
@@ -202,14 +196,15 @@ TEST(Properties, StressManySmallInstances) {
     const auto dist = static_cast<Distribution>(rng.UniformInt(0, 2));
     Dataset data = Generate(dist, n, dim, 1000 + trial);
     RTree tree = RTree::BulkLoad(data);
+    const ColumnStore cols(data);
     ConvexRegion region = RandomQueryBox(dim - 1, sigma, rng);
     auto oracle = NaiveUtk1(data, region, k);
-    EXPECT_EQ(Rsa().Run(data, tree, region, k).ids, oracle)
+    EXPECT_EQ(RunRsa(data, region, k).ids, oracle)
         << "trial " << trial << " dim=" << dim << " n=" << n << " k=" << k;
-    EXPECT_EQ(Jaa().Run(data, tree, region, k).AllRecords(), oracle)
+    EXPECT_EQ(RunJaa(data, region, k).AllRecords(), oracle)
         << "trial " << trial;
     EXPECT_EQ(Baseline(BaselineFilter::kSkyband)
-                  .RunUtk1(data, tree, region, k)
+                  .RunUtk1(data, cols, tree, region, k)
                   .ids,
               oracle)
         << "trial " << trial;
@@ -221,21 +216,22 @@ TEST(Properties, ExhaustiveMiniInstanceAllK) {
   // agree with the oracle, and JAA's union matches.
   Dataset data = Generate(Distribution::kAnticorrelated, 9, 3, 404);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   ConvexRegion region = ConvexRegion::FromBox({0.15, 0.25}, {0.4, 0.5});
   for (int k = 1; k <= 9; ++k) {
     auto oracle = NaiveUtk1(data, region, k);
-    EXPECT_EQ(Rsa().Run(data, tree, region, k).ids, oracle) << "k=" << k;
+    EXPECT_EQ(RunRsa(data, region, k).ids, oracle) << "k=" << k;
     EXPECT_EQ(Baseline(BaselineFilter::kSkyband)
-                  .RunUtk1(data, tree, region, k)
+                  .RunUtk1(data, cols, tree, region, k)
                   .ids,
               oracle)
         << "k=" << k;
     EXPECT_EQ(Baseline(BaselineFilter::kOnion)
-                  .RunUtk1(data, tree, region, k)
+                  .RunUtk1(data, cols, tree, region, k)
                   .ids,
               oracle)
         << "k=" << k;
-    EXPECT_EQ(Jaa().Run(data, tree, region, k).AllRecords(), oracle)
+    EXPECT_EQ(RunJaa(data, region, k).AllRecords(), oracle)
         << "k=" << k;
   }
 }
@@ -243,20 +239,19 @@ TEST(Properties, ExhaustiveMiniInstanceAllK) {
 TEST(Properties, WaveCapVariantsAgree) {
   // The wave-cap is a performance knob, never a semantic one.
   Dataset data = Generate(Distribution::kAnticorrelated, 250, 3, 405);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.25}, {0.38, 0.42});
   const int k = 4;
-  auto base = Rsa().Run(data, tree, region, k).ids;
+  auto base = RunRsa(data, region, k).ids;
   for (int cap : {0, 1, 2, 16}) {
-    Rsa::Options o;
+    QuerySpec o;
     o.wave_cap = cap;
-    EXPECT_EQ(Rsa(o).Run(data, tree, region, k).ids, base) << "cap=" << cap;
+    EXPECT_EQ(RunRsa(data, region, k, o).ids, base) << "cap=" << cap;
   }
-  auto base2 = Jaa().Run(data, tree, region, k);
+  auto base2 = RunJaa(data, region, k);
   for (int cap : {1, 4, 0}) {
-    Jaa::Options o;
+    QuerySpec o;
     o.wave_cap = cap;
-    Utk2Result r = Jaa(o).Run(data, tree, region, k);
+    Utk2Result r = RunJaa(data, region, k, o);
     std::set<std::vector<int32_t>> a, b;
     for (const auto& c : base2.cells) a.insert(c.topk);
     for (const auto& c : r.cells) b.insert(c.topk);
@@ -268,11 +263,10 @@ TEST(Properties, ClippedRegionStraddlingSimplex) {
   // Query box poking outside the weight simplex gets clipped; algorithms
   // must agree with the oracle on the clipped region.
   Dataset data = Generate(Distribution::kIndependent, 120, 3, 52);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.5, 0.3}, {0.8, 0.6});
   ASSERT_FALSE(region.is_box());
   const int k = 2;
-  EXPECT_EQ(Rsa().Run(data, tree, region, k).ids, NaiveUtk1(data, region, k));
+  EXPECT_EQ(RunRsa(data, region, k).ids, NaiveUtk1(data, region, k));
 }
 
 }  // namespace

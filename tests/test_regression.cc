@@ -88,8 +88,9 @@ std::string RenderNbaCaseStudy() {
   spec.region = ConvexRegion::FromBox({0.64}, {0.74});
   QueryResult utk1 = engine2.Run(spec);
   QueryStats tmp;
-  auto onion = OnionCandidates(engine2.data(), engine2.tree(), spec.k, &tmp);
-  auto skyband = KSkyband(engine2.data(), engine2.tree(), spec.k);
+  auto onion = OnionCandidates(engine2.data(), engine2.cols(), engine2.tree(),
+                               spec.k, &tmp);
+  auto skyband = KSkyband(engine2.cols(), engine2.tree(), spec.k);
   os << "fig9a utk1:";
   for (int32_t id : utk1.ids) os << ' ' << id;
   os << "\nfig9a onion=" << onion.size() << " skyband=" << skyband.size()

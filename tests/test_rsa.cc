@@ -11,6 +11,7 @@
 #include "data/workload.h"
 #include "index/rtree.h"
 #include "skyline/rskyband.h"
+#include "run_utk.h"
 
 namespace utk {
 namespace {
@@ -24,11 +25,10 @@ class RsaOracleTest
 TEST_P(RsaOracleTest, MatchesNaiveOracle) {
   const auto [dist, n, dim, k, sigma, seed] = GetParam();
   Dataset data = Generate(dist, n, dim, seed);
-  RTree tree = RTree::BulkLoad(data);
   Rng rng(seed + 1000);
   ConvexRegion region = RandomQueryBox(dim - 1, sigma, rng);
 
-  Utk1Result fast = Rsa().Run(data, tree, region, k);
+  Utk1Result fast = RunRsa(data, region, k);
   std::vector<int32_t> oracle = NaiveUtk1(data, region, k);
   EXPECT_EQ(fast.ids, oracle)
       << DistributionName(dist) << " n=" << n << " d=" << dim << " k=" << k
@@ -53,10 +53,9 @@ class RsaPropertyTest : public ::testing::TestWithParam<
 TEST_P(RsaPropertyTest, CompleteAgainstSampledTopk) {
   const auto [dist, k, dim, sigma] = GetParam();
   Dataset data = Generate(dist, 2000, dim, 7);
-  RTree tree = RTree::BulkLoad(data);
   Rng rng(77);
   ConvexRegion region = RandomQueryBox(dim - 1, sigma, rng);
-  Utk1Result r = Rsa().Run(data, tree, region, k);
+  Utk1Result r = RunRsa(data, region, k);
   std::set<int32_t> result(r.ids.begin(), r.ids.end());
   // Every record appearing in a sampled exact top-k must be reported.
   for (const auto& [w, topk] : SampleTopkSets(data, region, k, 40, 3030)) {
@@ -69,10 +68,9 @@ TEST_P(RsaPropertyTest, CompleteAgainstSampledTopk) {
 TEST_P(RsaPropertyTest, MinimalViaPerRecordOracle) {
   const auto [dist, k, dim, sigma] = GetParam();
   Dataset data = Generate(dist, 400, dim, 8);
-  RTree tree = RTree::BulkLoad(data);
   Rng rng(78);
   ConvexRegion region = RandomQueryBox(dim - 1, sigma, rng);
-  Utk1Result r = Rsa().Run(data, tree, region, k);
+  Utk1Result r = RunRsa(data, region, k);
   // Every reported record must pass the independent membership oracle. The
   // oracle's half-space DFS is exponential on anticorrelated data, so check
   // an even-spaced sample of at most 12 reported records per configuration.
@@ -94,10 +92,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Rsa, SubsetOfRSkyband) {
   Dataset data = Generate(Distribution::kAnticorrelated, 1000, 3, 9);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.35, 0.3});
   const int k = 4;
-  Utk1Result r = Rsa().Run(data, tree, region, k);
-  RSkybandResult band = ComputeRSkyband(data, tree, region, k);
+  Utk1Result r = RunRsa(data, region, k);
+  RSkybandResult band = ComputeRSkyband(cols, tree, region, k);
   std::set<int32_t> band_set(band.ids.begin(), band.ids.end());
   for (int32_t id : r.ids) EXPECT_TRUE(band_set.count(id));
   EXPECT_LE(r.ids.size(), band.ids.size());
@@ -106,35 +105,32 @@ TEST(Rsa, SubsetOfRSkyband) {
 TEST(Rsa, OptionsOffStillCorrect) {
   // Disabling the drill and Lemma-1 optimizations must not change results.
   Dataset data = Generate(Distribution::kIndependent, 300, 3, 10);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.15, 0.25}, {0.3, 0.4});
-  Utk1Result fast = Rsa().Run(data, tree, region, 3);
-  Rsa::Options no_drill;
+  Utk1Result fast = RunRsa(data, region, 3);
+  QuerySpec no_drill;
   no_drill.use_drill = false;
-  EXPECT_EQ(Rsa(no_drill).Run(data, tree, region, 3).ids, fast.ids);
-  Rsa::Options no_lemma;
+  EXPECT_EQ(RunRsa(data, region, 3, no_drill).ids, fast.ids);
+  QuerySpec no_lemma;
   no_lemma.use_lemma1 = false;
-  EXPECT_EQ(Rsa(no_lemma).Run(data, tree, region, 3).ids, fast.ids);
-  Rsa::Options neither;
+  EXPECT_EQ(RunRsa(data, region, 3, no_lemma).ids, fast.ids);
+  QuerySpec neither;
   neither.use_drill = false;
   neither.use_lemma1 = false;
-  EXPECT_EQ(Rsa(neither).Run(data, tree, region, 3).ids, fast.ids);
+  EXPECT_EQ(RunRsa(data, region, 3, neither).ids, fast.ids);
 }
 
 TEST(Rsa, KOne) {
   Dataset data = Generate(Distribution::kIndependent, 500, 3, 11);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.3, 0.3}, {0.5, 0.4});
-  Utk1Result r = Rsa().Run(data, tree, region, 1);
+  Utk1Result r = RunRsa(data, region, 1);
   EXPECT_EQ(r.ids, NaiveUtk1(data, region, 1));
   EXPECT_GE(r.ids.size(), 1u);
 }
 
 TEST(Rsa, KLargerThanDataset) {
   Dataset data = Generate(Distribution::kIndependent, 6, 3, 12);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
-  Utk1Result r = Rsa().Run(data, tree, region, 10);
+  Utk1Result r = RunRsa(data, region, 10);
   // Everyone is in the top-10 of a 6-record dataset.
   EXPECT_EQ(r.ids.size(), 6u);
 }
@@ -142,12 +138,11 @@ TEST(Rsa, KLargerThanDataset) {
 TEST(Rsa, TinyRegionApproachesPointQuery) {
   // As R shrinks to a point, UTK1 converges to the plain top-k set.
   Dataset data = Generate(Distribution::kIndependent, 800, 3, 13);
-  RTree tree = RTree::BulkLoad(data);
   const Vec center = {0.27, 0.33};
   ConvexRegion region = ConvexRegion::FromBox(
       {center[0] - 5e-7, center[1] - 5e-7}, {center[0] + 5e-7, center[1] + 5e-7});
   const int k = 5;
-  Utk1Result r = Rsa().Run(data, tree, region, k);
+  Utk1Result r = RunRsa(data, region, k);
   std::vector<int32_t> expect = TopK(data, center, k);
   std::sort(expect.begin(), expect.end());
   EXPECT_EQ(r.ids, expect);
@@ -165,9 +160,8 @@ TEST(Rsa, DuplicateRecords) {
   add({0.9, 0.1, 0.5});  // exact duplicate
   add({0.1, 0.9, 0.5});
   add({0.5, 0.5, 0.5});
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.1, 0.1}, {0.4, 0.4});
-  Utk1Result r = Rsa().Run(data, tree, region, 2);
+  Utk1Result r = RunRsa(data, region, 2);
   // The duplicate pair ties everywhere; both can be in a top-2 set.
   std::set<int32_t> ids(r.ids.begin(), r.ids.end());
   EXPECT_TRUE(ids.count(0));
@@ -176,10 +170,9 @@ TEST(Rsa, DuplicateRecords) {
 
 TEST(Rsa, StatsPopulated) {
   Dataset data = Generate(Distribution::kIndependent, 500, 4, 14);
-  RTree tree = RTree::BulkLoad(data);
   ConvexRegion region = ConvexRegion::FromBox({0.1, 0.1, 0.1},
                                               {0.25, 0.2, 0.2});
-  Utk1Result r = Rsa().Run(data, tree, region, 3);
+  Utk1Result r = RunRsa(data, region, 3);
   EXPECT_GT(r.stats.candidates, 0);
   EXPECT_GT(r.stats.verify_calls, 0);
   EXPECT_GT(r.stats.elapsed_ms, 0.0);
@@ -189,7 +182,6 @@ TEST(Rsa, GeneralConvexRegionNotBox) {
   // UTK over a triangular region (the paper notes techniques apply to
   // general convex polytopes).
   Dataset data = Generate(Distribution::kIndependent, 200, 3, 15);
-  RTree tree = RTree::BulkLoad(data);
   std::vector<Halfspace> cons;
   Halfspace h1, h2, h3;
   h1.a = {-1.0, 0.0};
@@ -200,7 +192,7 @@ TEST(Rsa, GeneralConvexRegionNotBox) {
   h3.b = 0.45;  // w1 + w2 <= 0.45
   cons = {h1, h2, h3};
   ConvexRegion region(cons);
-  Utk1Result r = Rsa().Run(data, tree, region, 2);
+  Utk1Result r = RunRsa(data, region, 2);
   EXPECT_EQ(r.ids, NaiveUtk1(data, region, 2));
 }
 

@@ -23,9 +23,10 @@ TEST_P(RSkybandParamTest, MatchesBruteForce) {
   const auto [dist, n, dim, k] = GetParam();
   Dataset data = Generate(dist, n, dim, 53);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   Vec lo(dim - 1, 0.12), hi(dim - 1, 0.22);
   ConvexRegion region = ConvexRegion::FromBox(lo, hi);
-  RSkybandResult got = ComputeRSkyband(data, tree, region, k);
+  RSkybandResult got = ComputeRSkyband(cols, tree, region, k);
   std::vector<int32_t> got_ids = got.ids;
   std::sort(got_ids.begin(), got_ids.end());
   std::vector<int32_t> brute = RSkybandBruteForce(data, region, k);
@@ -36,10 +37,11 @@ TEST_P(RSkybandParamTest, SubsetOfKSkyband) {
   const auto [dist, n, dim, k] = GetParam();
   Dataset data = Generate(dist, n, dim, 54);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   Vec lo(dim - 1, 0.1), hi(dim - 1, 0.25);
   ConvexRegion region = ConvexRegion::FromBox(lo, hi);
-  RSkybandResult band = ComputeRSkyband(data, tree, region, k);
-  std::vector<int32_t> sky = KSkyband(data, tree, k);
+  RSkybandResult band = ComputeRSkyband(cols, tree, region, k);
+  std::vector<int32_t> sky = KSkyband(cols, tree, k);
   std::set<int32_t> sky_set(sky.begin(), sky.end());
   for (int32_t id : band.ids)
     EXPECT_TRUE(sky_set.count(id)) << "r-skyband member outside k-skyband";
@@ -57,8 +59,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RSkyband, DominatorListsAreSound) {
   Dataset data = Generate(Distribution::kAnticorrelated, 300, 3, 55);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.35, 0.3});
-  RSkybandResult band = ComputeRSkyband(data, tree, region, 3);
+  RSkybandResult band = ComputeRSkyband(cols, tree, region, 3);
   for (size_t i = 0; i < band.ids.size(); ++i) {
     EXPECT_LT(static_cast<int>(band.dominators[i].size()), 3);
     for (int dom : band.dominators[i]) {
@@ -74,9 +77,10 @@ TEST(RSkyband, DominatorListsAreComplete) {
   // Every r-dominance pair among members must be recorded.
   Dataset data = Generate(Distribution::kIndependent, 150, 3, 56);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   ConvexRegion region = ConvexRegion::FromBox({0.15, 0.2}, {0.3, 0.35});
   const int k = 4;
-  RSkybandResult band = ComputeRSkyband(data, tree, region, k);
+  RSkybandResult band = ComputeRSkyband(cols, tree, region, k);
   for (size_t i = 0; i < band.ids.size(); ++i) {
     std::set<int> listed(band.dominators[i].begin(), band.dominators[i].end());
     // Listed dominators are capped at k-1 (the BBS prunes at k); a member
@@ -95,9 +99,10 @@ TEST(RSkyband, DominatorListsAreComplete) {
 TEST(RSkyband, PivotOrderDecreasing) {
   Dataset data = Generate(Distribution::kIndependent, 400, 4, 57);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   ConvexRegion region = ConvexRegion::FromBox({0.1, 0.1, 0.1},
                                               {0.25, 0.25, 0.25});
-  RSkybandResult band = ComputeRSkyband(data, tree, region, 2);
+  RSkybandResult band = ComputeRSkyband(cols, tree, region, 2);
   for (size_t i = 1; i < band.ids.size(); ++i) {
     EXPECT_GE(Score(data[band.ids[i - 1]], band.pivot) + kEps,
               Score(data[band.ids[i]], band.pivot));
@@ -108,9 +113,10 @@ TEST(RSkyband, ContainsEveryTopkInRegion) {
   // The r-skyband must contain the exact top-k set for any w in R.
   Dataset data = Generate(Distribution::kAnticorrelated, 500, 3, 58);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   ConvexRegion region = ConvexRegion::FromBox({0.25, 0.3}, {0.45, 0.4});
   const int k = 3;
-  RSkybandResult band = ComputeRSkyband(data, tree, region, k);
+  RSkybandResult band = ComputeRSkyband(cols, tree, region, k);
   std::set<int32_t> members(band.ids.begin(), band.ids.end());
   for (const auto& [w, topk] : SampleTopkSets(data, region, k, 60, 2024)) {
     for (int32_t id : topk) EXPECT_TRUE(members.count(id));
@@ -120,10 +126,11 @@ TEST(RSkyband, ContainsEveryTopkInRegion) {
 TEST(RSkyband, SmallerRegionNoLargerBand) {
   Dataset data = Generate(Distribution::kIndependent, 400, 3, 59);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   ConvexRegion big = ConvexRegion::FromBox({0.1, 0.1}, {0.45, 0.45});
   ConvexRegion small = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
-  const auto big_band = ComputeRSkyband(data, tree, big, 3).ids.size();
-  const auto small_band = ComputeRSkyband(data, tree, small, 3).ids.size();
+  const auto big_band = ComputeRSkyband(cols, tree, big, 3).ids.size();
+  const auto small_band = ComputeRSkyband(cols, tree, small, 3).ids.size();
   EXPECT_LE(small_band, big_band);
 }
 

@@ -20,7 +20,8 @@ TEST_P(SkybandParamTest, BbsMatchesBruteForce) {
   const auto [dist, n, dim, k] = GetParam();
   Dataset data = Generate(dist, n, dim, 31);
   RTree tree = RTree::BulkLoad(data);
-  std::vector<int32_t> bbs = KSkyband(data, tree, k);
+  const ColumnStore cols(data);
+  std::vector<int32_t> bbs = KSkyband(cols, tree, k);
   std::vector<int32_t> brute = KSkybandBruteForce(data, k);
   std::sort(bbs.begin(), bbs.end());
   std::sort(brute.begin(), brute.end());
@@ -39,9 +40,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Skyband, MonotoneInK) {
   Dataset data = Generate(Distribution::kIndependent, 500, 3, 77);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   std::vector<int32_t> prev;
   for (int k = 1; k <= 6; ++k) {
-    std::vector<int32_t> band = KSkyband(data, tree, k);
+    std::vector<int32_t> band = KSkyband(cols, tree, k);
     std::sort(band.begin(), band.end());
     // k-skyband grows with k and contains the (k-1)-skyband.
     EXPECT_TRUE(std::includes(band.begin(), band.end(), prev.begin(),
@@ -55,8 +57,9 @@ TEST(Skyband, ContainsEveryTopkResult) {
   // for any weight vector.
   Dataset data = Generate(Distribution::kAnticorrelated, 400, 3, 9);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   const int k = 4;
-  std::vector<int32_t> band = KSkyband(data, tree, k);
+  std::vector<int32_t> band = KSkyband(cols, tree, k);
   std::set<int32_t> band_set(band.begin(), band.end());
   Rng rng(4);
   for (int t = 0; t < 50; ++t) {
@@ -78,14 +81,16 @@ TEST(Skyband, DuplicateRecordsBothSurvive) {
   // Coincident records do not dominate each other: all in the 1-skyband.
   EXPECT_EQ(KSkybandBruteForce(data, 1).size(), 4u);
   RTree tree = RTree::BulkLoad(data);
-  EXPECT_EQ(KSkyband(data, tree, 1).size(), 4u);
+  const ColumnStore cols(data);
+  EXPECT_EQ(KSkyband(cols, tree, 1).size(), 4u);
 }
 
 TEST(Skyband, StatsCountHeapPops) {
   Dataset data = Generate(Distribution::kIndependent, 200, 3, 5);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   QueryStats stats;
-  KSkyband(data, tree, 2, &stats);
+  KSkyband(cols, tree, 2, &stats);
   EXPECT_GT(stats.heap_pops, 0);
 }
 

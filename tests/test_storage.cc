@@ -456,6 +456,48 @@ TEST(MappedEngine, TombstonesStayDead) {
   std::remove(path.c_str());
 }
 
+TEST(MappedEngine, NonBoxRegionGathersOnlyBandRows) {
+  // A general convex region (a triangle): the r-skyband filter reads the
+  // borrowed columns for this shape too, so a mapped query gathers only
+  // the band rows refinement reads, never the whole catalog.
+  Dataset data = Generate(Distribution::kIndependent, 400, 3, 23);
+  Engine reference((Dataset(data)));
+  std::vector<char> alive(data.size(), 1);
+  RTree tree = RTree::BulkLoad(data);
+  const std::string path = TempPath("mapped_nonbox.seg");
+  ASSERT_EQ(WriteSegment(path, data, alive, tree, 1), std::nullopt);
+  auto mapped = MappedEngine::Open(path);
+  ASSERT_NE(mapped, nullptr);
+
+  Halfspace w1_lo, w2_lo, sum_hi;
+  w1_lo.a = {-1.0, 0.0};
+  w1_lo.b = -0.1;  // w1 >= 0.1
+  w2_lo.a = {0.0, -1.0};
+  w2_lo.b = -0.1;  // w2 >= 0.1
+  sum_hi.a = {1.0, 1.0};
+  sum_hi.b = 0.45;  // w1 + w2 <= 0.45
+  const ConvexRegion triangle({w1_lo, w2_lo, sum_hi});
+  ASSERT_FALSE(triangle.is_box());
+
+  for (QueryMode mode : {QueryMode::kUtk1, QueryMode::kUtk2}) {
+    const Algorithm algo =
+        mode == QueryMode::kUtk1 ? Algorithm::kRsa : Algorithm::kJaa;
+    QuerySpec spec = MakeSpec(mode, algo, 3);
+    spec.region = triangle;
+    QueryResult want = reference.Run(spec);
+    QueryResult got = mapped->Run(spec);
+    ASSERT_TRUE(want.ok) << want.error;
+    ASSERT_TRUE(got.ok) << got.error;
+    EXPECT_EQ(got.ids, want.ids);
+    ASSERT_EQ(got.utk2.cells.size(), want.utk2.cells.size());
+    for (size_t c = 0; c < got.utk2.cells.size(); ++c)
+      EXPECT_EQ(got.utk2.cells[c].topk, want.utk2.cells[c].topk);
+  }
+  EXPECT_GT(mapped->rows_materialized(), 0);
+  EXPECT_LT(mapped->rows_materialized(), mapped->size());
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------- catalog
 
 void RemoveCatalogDir(const std::string& dir) {

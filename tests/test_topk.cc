@@ -19,6 +19,7 @@ TEST_P(TopKRTreeParamTest, MatchesScan) {
   const auto [dist, n, dim] = GetParam();
   Dataset data = Generate(dist, n, dim, 85);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   Rng rng(86);
   for (int t = 0; t < 10; ++t) {
     Vec w(dim - 1);
@@ -28,7 +29,7 @@ TEST_P(TopKRTreeParamTest, MatchesScan) {
       budget -= w[i];
     }
     for (int k : {1, 5, 25}) {
-      EXPECT_EQ(TopKRTree(data, tree, w, k), TopK(data, w, k))
+      EXPECT_EQ(TopKRTree(cols, tree, w, k), TopK(data, w, k))
           << "trial " << t << " k=" << k;
     }
   }
@@ -45,8 +46,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TopKRTree, VisitsFewNodesOnLargeData) {
   Dataset data = Generate(Distribution::kIndependent, 20000, 3, 87);
   RTree tree = RTree::BulkLoad(data);
+  const ColumnStore cols(data);
   QueryStats stats;
-  TopKRTree(data, tree, {0.3, 0.3}, 10, &stats);
+  TopKRTree(cols, tree, {0.3, 0.3}, 10, &stats);
   // Branch-and-bound should pop a tiny fraction of the ~20k records.
   EXPECT_LT(stats.heap_pops, 2000);
 }
@@ -54,10 +56,12 @@ TEST(TopKRTree, VisitsFewNodesOnLargeData) {
 TEST(TopKRTree, EmptyTreeAndZeroK) {
   Dataset data;
   RTree tree = RTree::BulkLoad(data);
-  EXPECT_TRUE(TopKRTree(data, tree, {0.5}, 3).empty());
+  const ColumnStore cols(data);
+  EXPECT_TRUE(TopKRTree(cols, tree, {0.5}, 3).empty());
   Dataset one = Generate(Distribution::kIndependent, 10, 2, 88);
   RTree tree1 = RTree::BulkLoad(one);
-  EXPECT_TRUE(TopKRTree(one, tree1, {0.5}, 0).empty());
+  const ColumnStore cols1(one);
+  EXPECT_TRUE(TopKRTree(cols1, tree1, {0.5}, 0).empty());
 }
 
 TEST(TopK, OrderedByScore) {

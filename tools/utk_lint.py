@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """utk_lint — machine-checks the project rules that grep can't.
 
-Five rules, each a hard-won invariant from DESIGN.md that previously lived
+Six rules, each a hard-won invariant from DESIGN.md that previously lived
 as prose (or, for the clock rule, as a fragile CI grep):
 
   eps-compare  Raw floating-point ordering comparisons in the geometry and
@@ -31,6 +31,12 @@ as prose (or, for the clock rule, as a fragile CI grep):
                the obs layer; only utk_cli (examples/) and tools/ talk to
                a terminal.
 
+  optional-store
+               No `const ColumnStore* x = nullptr` defaulted parameter in
+               src/. The filters read one layout, a required ColumnStore&;
+               a nullable store parameter is how an AoS twin path (the
+               `cols == nullptr` branches) would come back.
+
 Token-aware like check_bench.py is JSON-aware: a real lexer masks comments
 and string/char literal contents first, so a rule name in a doc comment or
 a "1.0 < 2.0" inside a string can never trip a rule.
@@ -50,7 +56,8 @@ import os
 import re
 import sys
 
-RULES = ("eps-compare", "clock", "span-name", "naked-new", "iostream")
+RULES = ("eps-compare", "clock", "span-name", "naked-new", "iostream",
+         "optional-store")
 
 DEFAULT_PATHS = ("src", "tests", "bench")
 SOURCE_EXTS = (".cc", ".h", ".cpp", ".hpp")
@@ -305,6 +312,13 @@ MALLOC_RE = re.compile(r"\b(?:malloc|calloc|realloc)\s*\(")
 IOSTREAM_RE = re.compile(
     r"\bstd::(?:cout|cerr|clog)\b|^\s*#\s*include\s*<iostream>")
 
+# A pointer-to-ColumnStore parameter defaulted to null: the default is
+# followed by the end of the parameter (`,` or `)`), which tells it apart
+# from a data member's `= nullptr;`.
+OPTIONAL_STORE_RE = re.compile(
+    r"\bColumnStore\s*(?:const\s*)?\*\s*(?:const\s+)?\w*\s*="
+    r"\s*(?:nullptr|NULL|0)\s*[,)]")
+
 
 def in_dir(relpath, prefix):
     return relpath.startswith(prefix + "/")
@@ -368,8 +382,19 @@ def rule_iostream(relpath, lexed):
                    "return values and obs, only utk_cli/tools print")
 
 
+def rule_optional_store(relpath, lexed):
+    if not in_dir(relpath, "src"):
+        return
+    for idx, line in enumerate(lexed.masked, 1):
+        if OPTIONAL_STORE_RE.search(line):
+            yield (idx, "optional-store",
+                   "ColumnStore* parameter defaulted to null in src/; take a "
+                   "required const ColumnStore& (the filters read one "
+                   "layout)")
+
+
 ALL_RULES = (rule_eps_compare, rule_clock, rule_span_name, rule_naked_new,
-             rule_iostream)
+             rule_iostream, rule_optional_store)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +531,14 @@ EMBEDDED = {
         "suppressed": ("void f() { std::cerr << 1; }"
                        "  // utk-lint: allow(iostream) fatal-path report\n"),
     },
+    "optional-store": {
+        "path": "src/skyline/fixture.cc",
+        "violate": ("int Filter(const Dataset& data,\n"
+                    "           const ColumnStore* cols = nullptr);\n"),
+        "clean": "int Filter(const ColumnStore& cols, int k);\n",
+        "suppressed": ("int F(const ColumnStore* c = nullptr);"
+                       "  // utk-lint: allow(optional-store) shim\n"),
+    },
 }
 
 # (source, expected-ok) pairs exercising the lexer and pragma machinery.
@@ -526,6 +559,15 @@ LEXER_CASES = [
     ("src/geometry/c.cc", "if (x > kPivotEps) {}\n", False),
     # The same comparison outside geometry/skyline is out of scope.
     ("src/api/c.cc", "if (x > kPivotEps) {}\n", True),
+    # A defaulted store parameter is caught however it is spelled...
+    ("src/core/c.cc", "void f(ColumnStore const *cols = nullptr) {}\n",
+     False),
+    ("src/core/c.cc", "void f(const ColumnStore* = nullptr, int k);\n",
+     False),
+    # ...but a data member's default and a test-side default are not.
+    ("src/api/c.h", "struct S { const ColumnStore* cols = nullptr; };\n",
+     True),
+    ("tests/c.cc", "void f(const ColumnStore* cols = nullptr) {}\n", True),
 ]
 
 
